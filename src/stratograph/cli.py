@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -25,6 +26,16 @@ from .stratify import IncidenceError, reconstruct_structure
 
 def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
+
+
+def _bad_option(args) -> str | None:
+    """Why a scale option is unusable (not finite and > 0), or None."""
+    for name in ("epsilon", "vertex_threshold"):
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0.0):
+            flag = "--" + name.replace("_", "-")
+            return f"{flag} must be a finite number > 0, got {value}"
+    return None
 
 
 def _count(n: int, singular: str, plural: str) -> str:
@@ -313,6 +324,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    problem = _bad_option(args)
+    if problem is not None:
+        _err(problem)
+        return 1
     try:
         return args.func(args)
     except (FormatError, OSError) as exc:

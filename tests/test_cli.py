@@ -1,11 +1,13 @@
 """Command-line behavior: outputs, exit codes, and reproducibility."""
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import stratograph
 from stratograph import (SampleOptions, sample_graph, write_cloud,
                          write_embedded_graph)
 from stratograph.cli import main
@@ -201,10 +203,13 @@ def test_pipeline_manifest_and_determinism(tmp_path, graph_file, capsys):
 
 def test_console_script_entry_point(tmp_path, graph_file):
     out = tmp_path / "cloud.json"
+    # the child imports stratograph from wherever this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stratograph.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stratograph.cli", "generate", "--graph",
          graph_file, "--epsilon", str(EPS), "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert out.exists()
 
@@ -212,3 +217,43 @@ def test_console_script_entry_point(tmp_path, graph_file):
 def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+BAD_SCALES = ["0", "-1", "nan", "inf"]
+
+
+@pytest.mark.parametrize("value", BAD_SCALES)
+def test_reconstruct_bad_vertex_threshold_exits_1(tmp_path, graph_file, capsys,
+                                                 value):
+    cloud = tmp_path / "cloud.json"
+    assert run(["generate", "--graph", graph_file, "--epsilon", EPS,
+                "--seed", 1, "--out", cloud]) == 0
+    out = tmp_path / "strat.json"
+    code = run(["reconstruct", "--cloud", cloud, "--epsilon", EPS,
+                "--vertex-threshold", value, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --vertex-threshold must be a finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", BAD_SCALES)
+@pytest.mark.parametrize("command", [
+    ["generate", "--graph", "g.json", "--out", "c.json"],
+    ["reconstruct", "--cloud", "c.json", "--out", "s.json"],
+    ["fit", "--cloud", "c.json", "--stratification", "s.json", "--out", "f.json"],
+    ["evaluate", "--fitted", "f.json", "--truth", "g.json", "--cloud", "c.json",
+     "--out", "r.json"],
+    ["pipeline", "--graph", "g.json", "--out-dir", "run"],
+    ["emit-plot", "--cloud", "c.json", "--stratification", "s.json",
+     "--out", "p.csv"],
+], ids=lambda command: command[0])
+def test_bad_epsilon_exits_1_before_any_stage(tmp_path, capsys, command, value):
+    # no input file exists, so any stage that ran would exit 2
+    args = [str(tmp_path / a) if a.endswith((".json", ".csv")) or a == "run"
+            else a for a in command]
+    code = run(args + ["--epsilon", value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --epsilon must be a finite number > 0")
+    assert list(tmp_path.iterdir()) == []

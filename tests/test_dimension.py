@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from stratograph import (ClassifierParams, PointCloud, angle_test, build_graph,
-                         classify_all, classify_point)
-from conftest import EPS, corner_cloud, line_cloud, star_cloud
+from stratograph import (AbstractGraph, ClassifierParams, EmbeddedGraph,
+                         PointCloud, SampleOptions, angle_test, build_graph,
+                         classify_all, classify_point, sample_graph)
+from stratograph.dimension import _component_labels
+from stratograph.geometry import sq_dists
+from conftest import (EMBED_2D, EMBED_3D, EPS, FIVE_VERTEX_EDGES, corner_cloud,
+                      line_cloud, star_cloud)
 
 
 def classify_cloud(cloud, params=None):
@@ -102,13 +106,64 @@ def test_classify_all_single_point_cloud():
     assert labels.tolist() == [0]
 
 
-def test_classify_all_matches_classify_point():
-    cloud = star_cloud(EPS, arms=3, arm_steps=15)
-    graph = build_graph(cloud, 3.0 * EPS)
-    params = ClassifierParams.from_epsilon(EPS)
+def five_vertex_cloud(embedding, spacing=None, seed=0):
+    truth = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), embedding)
+    options = SampleOptions(spacing=spacing, seed=seed).resolve(EPS)
+    return sample_graph(truth, EPS, options)
+
+
+def parallel_strands(gap=5.0 * EPS, half_steps=60):
+    """Two straight strands ``gap`` apart, sampled at spacing eps/2."""
+    xs = [k * EPS / 2 for k in range(-half_steps, half_steps + 1)]
+    return PointCloud([(x, y) for x in xs for y in (0.0, gap)], EPS)
+
+
+def assert_matches_classify_point(cloud, params):
+    graph = build_graph(cloud, 3.0 * cloud.epsilon)
     batched = classify_all(cloud, graph, params).labels
     single = [classify_point(cloud, graph, i, params) for i in range(len(cloud))]
     assert batched.tolist() == single
+
+
+def test_classify_all_matches_classify_point():
+    params = ClassifierParams.from_epsilon(EPS)
+    for cloud in (star_cloud(EPS, arms=3, arm_steps=15),
+                  five_vertex_cloud(EMBED_2D, spacing=EPS / 5),
+                  five_vertex_cloud(EMBED_3D, spacing=EPS / 5),
+                  parallel_strands(),
+                  # samples 5 eps apart: the neighbourhood graph has no edges
+                  PointCloud([(5.0 * EPS * k, 0.0) for k in range(6)], EPS)):
+        assert_matches_classify_point(cloud, params)
+
+
+def test_parallel_strands_decided_by_ball_test():
+    # the oracle input above only probes branch (a) if the ball test alone
+    # decides: a disconnected ball whose annulus has four components
+    cloud = parallel_strands()
+    params = ClassifierParams.from_epsilon(EPS)
+    pts = cloud.array
+    mid = int(np.argmin(sq_dists(pts, (0.0, 0.0))))
+    ball = pts[sq_dists(pts, pts[mid]) <= params.local_radius ** 2]
+    n_ball, _ = _component_labels(ball, params.ball_edge_threshold)
+    dq = sq_dists(ball, pts[mid])
+    annulus = ball[(dq >= params.annulus_inner ** 2)
+                   & (dq <= params.annulus_outer ** 2)]
+    n_ann, _ = _component_labels(annulus, params.annulus_edge_threshold)
+    assert (n_ball, n_ann) == (2, 4)
+    assert classify_cloud(cloud)[mid] == 1
+
+
+def test_classify_all_thresholds_above_graph_radius():
+    # thresholds beyond the 3-eps graph radius: pairs the adjacency lacks
+    # must still connect components
+    params = ClassifierParams.from_epsilon(EPS, annulus_edge_threshold=4.0 * EPS,
+                                           ball_edge_threshold=3.5 * EPS)
+    for cloud in (star_cloud(EPS, arms=3, arm_steps=30), parallel_strands(),
+                  five_vertex_cloud(EMBED_2D)):
+        graph = build_graph(cloud, 3.0 * EPS)
+        assert min(params.annulus_edge_threshold,
+                   params.ball_edge_threshold) > graph.radius
+        assert_matches_classify_point(cloud, params)
 
 
 def test_far_from_vertices_labeled_one():
