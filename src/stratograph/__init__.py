@@ -23,8 +23,7 @@ stages on files.
 """
 
 from .core import (AbstractGraph, DimensionLabels, EmbeddedGraph, PointCloud,
-                   Stratification, ValidationReport, ensure_valid_cloud,
-                   validate_cloud)
+                   Stratification, ValidationReport, validate_cloud)
 from .dimension import ClassifierParams, angle_test, classify_all, classify_point
 from .fit import (BiasReport, FitProblem, FitResult, estimate_bias, fit,
                   initialize, objective)
@@ -34,9 +33,8 @@ from .io import (FormatError, read_cloud, read_embedded_graph, read_fit_result,
                  write_fit_result, write_report, write_stratification)
 from .metrics import (UnsupportedGraphSize, graph_isomorphic, hausdorff,
                       iter_isomorphisms, vertex_error)
-from .neighbors import (ComponentLabeling, GridIndex, NeighborhoodGraph,
-                        build_graph, components, radius_neighbors,
-                        subset_components)
+from .neighbors import (ComponentLabeling, NeighborhoodGraph, build_graph,
+                        components)
 from .sampler import (AssumptionReport, SampleOptions, check_assumptions,
                       sample_graph, validate_epsilon_sample)
 from .stratify import (IncidenceError, assign_incidence, cluster_edges,
@@ -47,17 +45,16 @@ __version__ = "0.1.0"
 __all__ = [
     "AbstractGraph", "AssumptionReport", "BiasReport", "ClassifierParams",
     "ComponentLabeling", "DimensionLabels", "EmbeddedGraph", "FitProblem",
-    "FitResult", "FormatError", "GridIndex", "IncidenceError",
-    "NeighborhoodGraph", "PointCloud", "SampleOptions", "Stratification",
-    "UnsupportedGraphSize", "ValidationReport", "angle_test",
-    "assign_incidence", "build_graph", "check_assumptions", "classify_all",
-    "classify_point", "cluster_edges", "cluster_vertices", "components",
-    "dist_to_embedded_graph", "ensure_valid_cloud", "estimate_bias", "fit",
-    "graph_isomorphic", "hausdorff", "initialize", "iter_isomorphisms",
-    "objective", "project_to_segment", "radius_neighbors", "read_cloud",
+    "FitResult", "FormatError", "IncidenceError", "NeighborhoodGraph",
+    "PointCloud", "SampleOptions", "Stratification", "UnsupportedGraphSize",
+    "ValidationReport", "angle_test", "assign_incidence", "build_graph",
+    "check_assumptions", "classify_all", "classify_point", "cluster_edges",
+    "cluster_vertices", "components", "dist_to_embedded_graph",
+    "estimate_bias", "fit", "graph_isomorphic", "hausdorff", "initialize",
+    "iter_isomorphisms", "objective", "project_to_segment", "read_cloud",
     "read_embedded_graph", "read_fit_result", "read_stratification",
-    "reconstruct_structure", "sample_graph", "subset_components",
-    "validate_cloud", "validate_epsilon_sample", "vertex_error",
-    "write_cloud", "write_embedded_graph", "write_fit_result", "write_report",
+    "reconstruct_structure", "sample_graph", "validate_cloud",
+    "validate_epsilon_sample", "vertex_error", "write_cloud",
+    "write_embedded_graph", "write_fit_result", "write_report",
     "write_stratification",
 ]

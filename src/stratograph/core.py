@@ -117,11 +117,6 @@ def validate_cloud(cloud: PointCloud) -> ValidationReport:
     return ValidationReport(tuple(findings), tuple(warnings))
 
 
-def ensure_valid_cloud(cloud: PointCloud) -> np.ndarray:
-    """Return the cloud's point array, raising ValueError if it is invalid."""
-    return cloud.array
-
-
 @dataclass(frozen=True)
 class AbstractGraph:
     """Combinatorial graph: a vertex count and unordered edge pairs.

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import DimensionLabels, PointCloud
 from .geometry import sq_dists
-from .neighbors import NeighborhoodGraph
+from .neighbors import NeighborhoodGraph, _min_labels
 
 _DEGENERATE = 1e-12
 
@@ -153,9 +153,8 @@ def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
                    params: ClassifierParams) -> int:
     """Local dimension of one sample; always returns 0 or 1."""
     pts = cloud.array
-    q = pts[q_index]
-    ball_idx = graph.index.query(q, params.local_radius)
-    return _classify_ball(q, pts[ball_idx], params)
+    ball_idx = graph.balls(pts[[q_index]], params.local_radius)[0]
+    return _classify_ball(pts[q_index], pts[ball_idx], params)
 
 
 def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
@@ -186,29 +185,6 @@ def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
         np.less_equal(sq, ann, out=ann_ok[lo:hi])
         np.less_equal(sq, ball, out=ball_ok[lo:hi])
     return indptr, cols, ann_ok, ball_ok
-
-
-def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Smallest node of each node's component in the graph with edges (u, v).
-
-    Min-label hooking with pointer jumping: each round hooks every root
-    onto the smallest root across its edges, then flattens the forest,
-    until a round changes nothing.  Rounds compare whole label arrays
-    instead of filtering the edges, so that no temporary takes the
-    varying length of an edge subset (see ``_BLOCK_MEMBERS``).
-    """
-    lab = np.arange(n_nodes)
-    while True:
-        before = lab.copy()
-        lu, lv = lab[u], lab[v]
-        np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
-        while True:
-            up = lab[lab]
-            if np.array_equal(up, lab):
-                break
-            lab = up
-        if np.array_equal(before, lab):
-            return lab
 
 
 def _classify_block(pts: np.ndarray, queries: np.ndarray, balls: list,
@@ -279,7 +255,7 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     label is 1 when either test says 1, so the order cannot change it.
     Components come from the pairs in ``graph.adjacency``, tested with the
     same squared-distance comparison as the per-ball reference, or from
-    the graph's index when a threshold exceeds ``graph.radius``.  Beyond
+    ``graph.balls`` when a threshold exceeds ``graph.radius``.  Beyond
     the pair list, memory is bounded by one block.
     """
     if params is None:
@@ -288,14 +264,14 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     n = len(pts)
     reach = max(params.annulus_edge_threshold, params.ball_edge_threshold)
     nbrs = (graph.adjacency if reach <= graph.radius
-            else graph.index.query_many(pts, reach))
+            else graph.balls(pts, reach))
     pairs = _upper_pairs(pts, nbrs, params)
     out = np.empty(n, dtype=int)
     balls, lo, size = [], 0, 1
     while lo < n:
         if len(balls) < size:
             ahead = pts[lo + len(balls):lo + size]
-            balls += graph.index.query_many(ahead, params.local_radius)
+            balls += graph.balls(ahead, params.local_radius)
         # the leading balls that fit the budget (at least one); the rest wait
         members = np.cumsum([len(b) for b in balls])
         take = max(1, int(np.searchsorted(members, _BLOCK_MEMBERS, side="right")))

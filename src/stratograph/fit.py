@@ -57,11 +57,6 @@ class FitProblem:
         self._e1 = np.array([self.edge_assignment[i][0] for i in self._d1], dtype=int)
         self._e2 = np.array([self.edge_assignment[i][1] for i in self._d1], dtype=int)
 
-    @classmethod
-    def from_stratification(cls, cloud: PointCloud,
-                            stratification: Stratification) -> "FitProblem":
-        return cls(cloud, stratification)
-
     @property
     def n_vertices(self) -> int:
         return len(self.stratification.vertex_clusters)

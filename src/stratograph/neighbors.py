@@ -1,48 +1,29 @@
-"""Threshold graphs on point indices, with a grid index for radius queries.
+"""Threshold graphs on point indices: one radius query, one components routine.
 
 Adjacency is defined by d(p, q) <= r with the comparison done on squared
-distances; ties at exactly r are included.  The grid uses cells of side r
-over (at most) the first three coordinates, which prunes candidates without
-ever changing the exact predicate.
+distances; ties at exactly r are included.  ``NeighborhoodGraph.balls``
+answers every radius query on the cloud: a scipy k-d tree, asked with a
+little slack, proposes candidates, and each is kept only if it passes that
+exact predicate, so the tree's own distance arithmetic never decides a tie.
+``components`` labels the connected components of any index subset at any
+threshold from those queries.
 """
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .core import PointCloud, ensure_valid_cloud
+from .core import PointCloud
 
-_MAX_GRID_DIMS = 3
-
-
-class UnionFind:
-    """Union-find with path compression; labels are smallest member indices."""
-
-    def __init__(self, items):
-        self.parent = {i: i for i in items}
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        # keep the smaller index as the representative
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-
-    def labels(self) -> dict:
-        return {i: self.find(i) for i in self.parent}
+# The tree is asked at radius * _SLACK: far above its rounding error, so
+# no point passing the exact predicate is missed.
+_SLACK = 1.0 + 1e-9
+# Queries per tree call, and subset members per block of ``components``:
+# bounds the candidate lists and pairs held at once.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -62,108 +43,17 @@ class ComponentLabeling:
         return [sorted(by_label[lab]) for lab in sorted(by_label)]
 
 
-class GridIndex:
-    """Hash grid over the first few coordinates for fixed-radius queries."""
-
-    def __init__(self, points: np.ndarray, cell: float):
-        if cell <= 0.0:
-            raise ValueError("cell size must be positive")
-        self.points = points
-        self.cell = float(cell)
-        self.gdims = min(points.shape[1], _MAX_GRID_DIMS)
-        keys = np.floor(points[:, :self.gdims] / self.cell).astype(np.int64)
-        self.cells = {}
-        for idx, key in enumerate(map(tuple, keys.tolist())):
-            self.cells.setdefault(key, []).append(idx)
-        self._offset_cache = {}
-        self._cand_cache = {}
-
-    def _offsets(self, reach: int) -> np.ndarray:
-        offs = self._offset_cache.get(reach)
-        if offs is None:
-            offs = np.array(list(itertools.product(range(-reach, reach + 1),
-                                                   repeat=self.gdims)),
-                            dtype=np.int64).reshape(-1, self.gdims)
-            self._offset_cache[reach] = offs
-        return offs
-
-    def _candidates(self, key: tuple, reach: int) -> np.ndarray:
-        """Point indices in all cells within ``reach`` cells of ``key``.
-
-        Cached per (key, reach): the index is immutable, and pipelines
-        query the same cells repeatedly at a handful of radii.
-        """
-        cached = self._cand_cache.get((key, reach))
-        if cached is not None:
-            return cached
-        cand = []
-        get = self.cells.get
-        cells = (np.asarray(key, dtype=np.int64) + self._offsets(reach)).tolist()
-        for ck in map(tuple, cells):
-            bucket = get(ck)
-            if bucket:
-                cand.extend(bucket)
-        out = np.array(cand, dtype=int)
-        self._cand_cache[(key, reach)] = out
-        return out
-
-    def query(self, q: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of all points with d(point, q) <= radius, sorted."""
-        if radius < 0.0:
-            return np.empty(0, dtype=int)
-        reach = int(math.ceil(radius / self.cell)) if radius > 0.0 else 0
-        key = tuple(np.floor(np.asarray(q[:self.gdims], dtype=float)
-                             / self.cell).astype(np.int64).tolist())
-        cand = self._candidates(key, reach)
-        if len(cand) == 0:
-            return cand
-        diff = self.points[cand] - q
-        sq = np.einsum("ij,ij->i", diff, diff)
-        hit = cand[sq <= radius * radius]
-        hit.sort()
-        return hit
-
-    def query_many(self, qs: np.ndarray, radius: float) -> list:
-        """One sorted index array per query row; same predicate as query.
-
-        Queries sharing a grid cell reuse a single candidate gather, so
-        batches clustered in space (the common case: the cloud itself)
-        cost far less than repeated single queries.
-        """
-        qs = np.asarray(qs, dtype=float)
-        m = len(qs)
-        empty = np.empty(0, dtype=int)
-        if radius < 0.0:
-            return [empty] * m
-        reach = int(math.ceil(radius / self.cell)) if radius > 0.0 else 0
-        keys = np.floor(qs[:, :self.gdims] / self.cell).astype(np.int64)
-        by_cell = {}
-        for row, key in enumerate(map(tuple, keys.tolist())):
-            by_cell.setdefault(key, []).append(row)
-        out = [empty] * m
-        r2 = radius * radius
-        for key, rows in by_cell.items():
-            cand = self._candidates(key, reach)
-            if len(cand) == 0:
-                continue
-            block = qs[rows]
-            diff = self.points[cand][None, :, :] - block[:, None, :]
-            sq = np.einsum("ijk,ijk->ij", diff, diff)
-            for r, row in enumerate(rows):
-                hit = cand[sq[r] <= r2]
-                hit.sort()
-                out[row] = hit
-        return out
-
-
 class NeighborhoodGraph:
     """Graph connecting sample indices whose distance is at most ``radius``."""
 
-    def __init__(self, cloud: PointCloud, radius: float, adjacency, index: GridIndex):
+    def __init__(self, cloud: PointCloud, radius: float):
+        if radius <= 0.0:
+            raise ValueError("radius must be positive")
         self.cloud = cloud
         self.radius = float(radius)
-        self.adjacency = adjacency
-        self.index = index
+        self.tree = cKDTree(cloud.array)
+        balls = self.balls(cloud.array, self.radius)
+        self.adjacency = tuple(nb[nb != i] for i, nb in enumerate(balls))
 
     @property
     def n_points(self) -> int:
@@ -172,6 +62,32 @@ class NeighborhoodGraph:
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
+    def balls(self, qs, radius: float) -> list:
+        """One sorted index array per row q of ``qs``: the cloud points p
+        with d(p, q) <= radius.
+
+        The tree proposes candidates within ``radius * _SLACK``; each is
+        kept if the einsum of ``p - q`` with itself is <= radius * radius.
+        """
+        qs = np.asarray(qs, dtype=float)
+        if radius < 0.0:
+            return [np.empty(0, dtype=int)] * len(qs)
+        pts = self.cloud.array
+        out = []
+        for lo in range(0, len(qs), _BLOCK):
+            block = qs[lo:lo + _BLOCK]
+            cand = self.tree.query_ball_point(block, radius * _SLACK,
+                                              return_sorted=True)
+            sizes = np.fromiter(map(len, cand), dtype=int, count=len(cand))
+            flat = np.fromiter(itertools.chain.from_iterable(cand), dtype=int,
+                               count=int(sizes.sum()))
+            owner = np.repeat(np.arange(len(block)), sizes)
+            diff = pts[flat] - block[owner]
+            keep = np.einsum("ij,ij->i", diff, diff) <= radius * radius
+            counts = np.bincount(owner[keep], minlength=len(block))
+            out += np.split(flat[keep], np.cumsum(counts)[:-1])
+        return out
+
     def __repr__(self) -> str:
         return (f"NeighborhoodGraph(n={self.n_points}, radius={self.radius}, "
                 f"edges={self.edge_count()})")
@@ -179,89 +95,56 @@ class NeighborhoodGraph:
 
 def build_graph(cloud: PointCloud, radius: float) -> NeighborhoodGraph:
     """Connect all pairs of cloud points within ``radius`` of each other."""
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    pts = ensure_valid_cloud(cloud)
-    index = GridIndex(pts, radius)
-    balls = index.query_many(pts, radius)
-    adjacency = tuple(nb[nb != i] for i, nb in enumerate(balls))
-    return NeighborhoodGraph(cloud, radius, adjacency, index)
+    return NeighborhoodGraph(cloud, radius)
 
 
-def radius_neighbors(cloud: PointCloud, q, radius: float,
-                     index: GridIndex | None = None) -> np.ndarray:
-    """Indices of cloud points within ``radius`` of the query point ``q``.
+def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's component in the graph with edges (u, v).
 
-    Pass a prebuilt ``GridIndex`` when issuing many queries; without one a
-    vectorized linear scan is used, which is exact but O(n) per call.
+    Min-label hooking with pointer jumping: each round hooks every root
+    onto the smallest root across its edges, then flattens the forest,
+    until a round changes nothing.  Rounds compare whole label arrays
+    instead of filtering the edges, so that no temporary takes the
+    varying length of an edge subset (numpy caches freed blocks under
+    1 KiB per byte size, so many such lengths would stay resident).
     """
-    pts = ensure_valid_cloud(cloud)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if len(q) != cloud.ambient_dim:
-        raise ValueError(f"query has {len(q)} coordinates, expected "
-                         f"{cloud.ambient_dim}")
-    if index is not None:
-        return index.query(q, radius)
-    diff = pts - q
-    sq = np.einsum("ij,ij->i", diff, diff)
-    return np.nonzero(sq <= radius * radius)[0]
+    lab = np.arange(n_nodes)
+    while True:
+        before = lab.copy()
+        lu, lv = lab[u], lab[v]
+        np.minimum.at(lab, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+        if np.array_equal(before, lab):
+            return lab
 
 
-def components(graph: NeighborhoodGraph, subset, max_edge: float) -> ComponentLabeling:
-    """Connected components of ``subset`` using only pairs with d <= max_edge.
+def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentLabeling:
+    """Connected components of ``subset`` using only pairs with d <= threshold.
 
-    ``max_edge`` may not exceed the graph radius: the adjacency lists carry
-    no pairs beyond it, so a larger threshold would silently drop edges.
+    Any threshold works: pairs come from ``graph.balls``, taken ``_BLOCK``
+    members at a time, and each block's pairs are hooked onto the roots
+    found so far, so only one block's pairs are held at once.
     """
-    if max_edge > graph.radius:
-        raise ValueError(f"max_edge {max_edge} exceeds graph radius {graph.radius}")
     n = graph.n_points
-    subset = [int(i) for i in subset]
-    for i in subset:
-        if not (0 <= i < n):
-            raise IndexError(f"subset index {i} out of range for {n} points")
-    member = set(subset)
+    members = np.unique(np.asarray(subset, dtype=int))
+    outside = members[(members < 0) | (members >= n)]
+    if len(outside):
+        raise IndexError(f"subset index {outside[0]} out of range for {n} points")
+    position = np.full(n, -1)
+    position[members] = np.arange(len(members))
+    lab = np.arange(len(members))
     pts = graph.cloud.array
-    uf = UnionFind(subset)
-    limit = max_edge * max_edge
-    for i in subset:
-        nbrs = graph.adjacency[i]
-        for j in nbrs[nbrs > i]:
-            j = int(j)
-            if j not in member:
-                continue
-            d = pts[i] - pts[j]
-            if float(np.dot(d, d)) <= limit:
-                uf.union(i, j)
-    labels = uf.labels()
-    return ComponentLabeling(labels, len(set(labels.values())))
-
-
-def subset_components(points: np.ndarray, subset, threshold: float,
-                      index: GridIndex | None = None) -> ComponentLabeling:
-    """Components of an index subset under pairwise distance <= threshold.
-
-    Unlike ``components`` this works at any threshold; it queries the grid
-    (or scans) for each subset member, so it also serves the 10-epsilon
-    vertex clustering that exceeds the 3-epsilon graph radius.
-    """
-    subset = [int(i) for i in subset]
-    member = set(subset)
-    uf = UnionFind(subset)
-    limit = threshold * threshold
-    if index is None and len(subset) > 0:
-        sub = np.array(subset, dtype=int)
-        arr = points[sub]
-        for a in range(len(sub)):
-            diff = arr[a + 1:] - arr[a]
-            sq = np.einsum("ij,ij->i", diff, diff)
-            for b in np.nonzero(sq <= limit)[0]:
-                uf.union(int(sub[a]), int(sub[a + 1 + b]))
-    else:
-        sub = np.array(subset, dtype=int)
-        for i, nbrs in zip(subset, index.query_many(points[sub], threshold)):
-            for j in nbrs[nbrs > i].tolist():
-                if j in member:
-                    uf.union(i, j)
-    labels = uf.labels()
-    return ComponentLabeling(labels, len(set(labels.values())))
+    for lo in range(0, len(members), _BLOCK):
+        balls = graph.balls(pts[members[lo:lo + _BLOCK]], threshold)
+        sizes = np.fromiter(map(len, balls), dtype=int, count=len(balls))
+        src = np.repeat(np.arange(lo, lo + len(balls)), sizes)
+        dst = position[np.concatenate(balls)]
+        later = dst > src  # each pair once; non-members are -1
+        lab = _min_labels(len(members), lab[src[later]], lab[dst[later]])[lab]
+    roots = members[lab]
+    return ComponentLabeling(dict(zip(members.tolist(), roots.tolist())),
+                             len(np.unique(roots)))

@@ -5,7 +5,9 @@ Vertex clusters are connected components of the dimension-0 samples at a
 generous threshold (10*eps by default: vertex neighborhoods are wide but
 well separated).  Edge clusters use the tighter 3*eps.  Each edge cluster
 must then touch exactly two vertex clusters within the link threshold;
-those two become the edge's endpoints.
+those two become the edge's endpoints.  Clusters come from
+``neighbors.components`` and incidence from ``NeighborhoodGraph.balls``,
+so every threshold is answered by the neighbourhood graph's one k-d tree.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import numpy as np
 
 from .core import AbstractGraph, DimensionLabels, PointCloud, Stratification
 from .dimension import ClassifierParams, classify_all
-from .neighbors import GridIndex, NeighborhoodGraph, build_graph, components, subset_components
+from .neighbors import NeighborhoodGraph, build_graph, components
 
 
 class IncidenceError(ValueError):
@@ -39,16 +41,11 @@ def cluster_vertices(cloud: PointCloud, graph: NeighborhoodGraph,
     """Components of the dimension-0 samples; one cluster per vertex.
 
     The default threshold is 10*eps, far above the 3*eps neighborhood
-    graph radius, so connectivity is recomputed from distances instead of
-    reusing the graph's adjacency.
+    graph radius: vertex neighborhoods are wide but well separated.
     """
     if threshold is None:
         threshold = 10.0 * cloud.epsilon
-    subset = labels.indices_of(0)
-    if len(subset) == 0:
-        return []
-    index = graph.index if graph is not None else None
-    return _grouped(subset_components(cloud.array, subset, threshold, index))
+    return _grouped(components(graph, labels.indices_of(0), threshold))
 
 
 def cluster_edges(cloud: PointCloud, graph: NeighborhoodGraph,
@@ -56,47 +53,39 @@ def cluster_edges(cloud: PointCloud, graph: NeighborhoodGraph,
     """Components of the dimension-1 samples at threshold 3*eps."""
     if threshold is None:
         threshold = 3.0 * cloud.epsilon
-    subset = labels.indices_of(1)
-    if len(subset) == 0:
-        return []
-    if threshold <= graph.radius:
-        return _grouped(components(graph, subset, threshold))
-    return _grouped(subset_components(cloud.array, subset, threshold, graph.index))
+    return _grouped(components(graph, labels.indices_of(1), threshold))
 
 
-def assign_incidence(cloud: PointCloud, vertex_clusters, edge_clusters,
-                     link_threshold: float | None = None):
+def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
+                     vertex_clusters, edge_clusters,
+                     link_threshold: float | None = None) -> list:
     """Match each edge cluster with the two vertex clusters it runs between.
 
     A vertex cluster is incident when any of its points lies within
     link_threshold (default 3*eps) of any point of the edge cluster.
+    Returns one sorted pair of vertex-cluster indices per edge cluster.
     Anything other than exactly two incident clusters raises
-    IncidenceError naming the edge cluster and the candidates found.
+    IncidenceError naming the edge cluster and the candidates found; two
+    edge clusters with the same pair raise ValueError.
     """
     if link_threshold is None:
         link_threshold = 3.0 * cloud.epsilon
     pts = cloud.array
-    owner = {}
+    owner = np.full(len(pts), -1)
     for v_id, cluster in enumerate(vertex_clusters):
-        for i in cluster:
-            owner[int(i)] = v_id
-    index = GridIndex(pts, link_threshold) if owner else None
+        owner[list(cluster)] = v_id
 
     incidence = []
     for e_id, cluster in enumerate(edge_clusters):
-        touched = set()
-        for i in cluster:
-            for j in (index.query(pts[int(i)], link_threshold) if index is not None else ()):
-                v_id = owner.get(int(j))
-                if v_id is not None:
-                    touched.add(v_id)
+        near = graph.balls(pts[list(cluster)], link_threshold)
+        touched = set(owner[np.concatenate(near)].tolist()) if near else set()
+        touched.discard(-1)
         if len(touched) != 2:
             raise IncidenceError(e_id, touched)
-        a, b = sorted(touched)
-        incidence.append((a, b))
-
-    graph = AbstractGraph(len(vertex_clusters), incidence)
-    return graph, incidence
+        incidence.append(tuple(sorted(touched)))
+    # rejects two edge clusters between the same pair of vertex clusters
+    AbstractGraph(len(vertex_clusters), incidence)
+    return incidence
 
 
 def reconstruct_structure(cloud: PointCloud, params: ClassifierParams | None = None,
@@ -106,6 +95,6 @@ def reconstruct_structure(cloud: PointCloud, params: ClassifierParams | None = N
     labels = classify_all(cloud, graph, params)
     vertex_clusters = cluster_vertices(cloud, graph, labels, vertex_threshold)
     edge_clusters = cluster_edges(cloud, graph, labels)
-    _, incidence = assign_incidence(cloud, vertex_clusters, edge_clusters)
+    incidence = assign_incidence(cloud, graph, vertex_clusters, edge_clusters)
     return Stratification(vertex_clusters, edge_clusters, incidence,
                           n_points=len(cloud))

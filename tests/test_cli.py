@@ -84,6 +84,24 @@ def test_reconstruct_segment_counts(tmp_path, segment_file, capsys):
     assert "1 edges" not in captured.out
 
 
+def test_reconstruct_huge_vertex_threshold_exits_3(tmp_path, truth_3d, capsys):
+    # 100 = 1000 eps merges every vertex into one cluster: incidence fails
+    graph = tmp_path / "truth3d.json"
+    write_embedded_graph(truth_3d, str(graph))
+    cloud = tmp_path / "cloud.json"
+    assert run(["generate", "--graph", graph, "--epsilon", EPS,
+                "--seed", 1, "--out", cloud]) == 0
+    capsys.readouterr()
+    out = tmp_path / "strat.json"
+    code = run(["reconstruct", "--cloud", cloud, "--epsilon", EPS,
+                "--vertex-threshold", 100, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error:")
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_reconstruct_bad_geometry_never_crashes(tmp_path, truth_2d, capsys):
     # two segments meeting at 10 degrees: assumptions violated, contract is
     # exit 3 or a wrong-but-clean result

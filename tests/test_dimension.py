@@ -59,6 +59,42 @@ def test_star_origin_is_dimension_zero():
     assert classify_point(cloud, graph, 0, params) == 0
 
 
+def _star_with_stray(center, stray, eps=EPS, arms=3, arm_steps=20):
+    """Star of ``arms`` rays from ``center`` plus one stray point at least
+    5 eps from every ray: in 2D the rays start along x and the stray must
+    lie along y; in 3D they lie in the plane perpendicular to the stray."""
+    center = np.asarray(center, dtype=float)
+    d = np.asarray(stray, dtype=float) - center
+    # orthonormal rows; in 3D perpendicular to d
+    basis = np.eye(2) if len(d) == 2 else np.linalg.svd(d[None, :])[2][1:]
+    pts = [center]
+    for a in range(arms):
+        ang = 2.0 * math.pi * a / arms
+        u = math.cos(ang) * basis[0] + math.sin(ang) * basis[1]
+        pts += [center + k * eps * u for k in range(1, arm_steps + 1)]
+    return pts + [np.asarray(stray, dtype=float)]
+
+
+@pytest.mark.parametrize("center, stray, local_radius", [
+    ((0.0, 0.0), (0.0, 1.0), None),  # exactly 10 eps, default radius
+    # a pair whose tie scipy's cKDTree misses when asked at exactly r
+    ([0.6194215518255555, 0.12095190401237166, -0.423157571137579],
+     [-0.1742073146382146, 0.6362419419418208, 0.253012924839507],
+     1.1630034997814065),
+], ids=["2d-10eps", "3d-tree-tie"])
+def test_local_ball_tie_included(center, stray, local_radius):
+    # a stray point in the local ball disconnects it, so the star's centre
+    # reads 1 with the stray exactly on the ball's boundary and 0 beyond it
+    overrides = {} if local_radius is None else {"local_radius": local_radius}
+    params = ClassifierParams.from_epsilon(EPS, **overrides)
+    beyond = np.asarray(center) + (np.asarray(stray) - center) * (1.0 + 1e-9)
+    for point, want in ((stray, 1), (beyond, 0)):
+        cloud = PointCloud(_star_with_stray(center, point), EPS)
+        graph = build_graph(cloud, 3.0 * EPS)
+        assert classify_point(cloud, graph, 0, params) == want
+        assert classify_all(cloud, graph, params).labels[0] == want
+
+
 def test_right_angle_corner_is_dimension_zero():
     cloud = corner_cloud(EPS, angle=math.pi / 2, arm_steps=20)
     graph = build_graph(cloud, 3.0 * EPS)

@@ -2,8 +2,14 @@
 import numpy as np
 import pytest
 
-from stratograph import PointCloud, build_graph, components, radius_neighbors
-from stratograph.neighbors import GridIndex, subset_components
+from stratograph import PointCloud, build_graph, components
+
+# A pair at exactly r = TIE_RADIUS: the einsum predicate sq <= r*r holds,
+# but scipy's cKDTree asked at exactly r misses it, so only the query's
+# slack keeps the tie.
+TIE_PAIR = [[0.6194215518255555, 0.12095190401237166, -0.423157571137579],
+            [-0.1742073146382146, 0.6362419419418208, 0.253012924839507]]
+TIE_RADIUS = 1.1630034997814065
 
 
 def brute_adjacency(pts, r):
@@ -63,6 +69,11 @@ def test_build_graph_tie_at_radius_included():
     assert g.adjacency[0].tolist() == [1]
 
 
+def test_build_graph_tie_lost_by_tree_arithmetic_included():
+    g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS)
+    assert g.adjacency[0].tolist() == [1]
+
+
 def test_build_graph_duplicates_adjacent():
     cloud = PointCloud([(1, 1), (1, 1)], 0.1)
     g = build_graph(cloud, 0.05)
@@ -96,11 +107,26 @@ def test_components_chain_examples():
     assert components(g, [0, 1, 2], 0.15).component_count == 3
 
 
-def test_components_threshold_above_radius_rejected():
-    cloud = PointCloud([(0, 0), (0.2, 0)], 0.1)
-    g = build_graph(cloud, 0.2)
-    with pytest.raises(ValueError):
-        components(g, [0, 1], 0.25)
+def test_components_threshold_above_radius_matches_bfs_oracle():
+    # thresholds above the graph radius come from radius queries, not from
+    # the adjacency lists; subsets span several blocks of members
+    rng = np.random.default_rng(19)
+    pts = rng.uniform(0, 1, (400, 2))
+    g = build_graph(PointCloud(pts, 0.1), 0.03)
+    for max_edge in (0.05, 0.09):
+        oracle_adj = brute_adjacency(pts, max_edge)
+        subset = list(range(0, 400, 2))
+        got = components(g, subset, max_edge)
+        parts = {frozenset(grp) for grp in got.groups()}
+        assert parts == bfs_partition(oracle_adj, subset, pts, max_edge)
+
+
+def test_components_tie_above_radius_included():
+    g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS / 4)
+    assert g.adjacency[0].tolist() == []
+    assert components(g, [0, 1], TIE_RADIUS).component_count == 1
+    below = np.nextafter(TIE_RADIUS, 0.0)
+    assert components(g, [0, 1], below).component_count == 2
 
 
 def test_components_subset_index_out_of_range():
@@ -145,52 +171,56 @@ def test_components_refinement_property():
 
 
 def test_radius_neighbors_zero_radius_duplicates():
-    cloud = PointCloud([(0, 0), (0, 0), (1, 0)], 0.1)
-    assert radius_neighbors(cloud, (0, 0), 0.0).tolist() == [0, 1]
+    g = build_graph(PointCloud([(0, 0), (0, 0), (1, 0)], 0.1), 0.5)
+    assert g.balls([(0, 0)], 0.0)[0].tolist() == [0, 1]
 
 
 def test_radius_neighbors_empty_when_far():
-    cloud = PointCloud([(0.5, 0)], 0.1)
-    assert radius_neighbors(cloud, (0, 0), 0.4).tolist() == []
+    g = build_graph(PointCloud([(0.5, 0)], 0.1), 0.3)
+    assert g.balls([(0, 0)], 0.4)[0].tolist() == []
 
 
 def test_radius_neighbors_dimension_mismatch():
-    cloud = PointCloud([(0, 0)], 0.1)
+    g = build_graph(PointCloud([(0, 0)], 0.1), 0.3)
     with pytest.raises(ValueError):
-        radius_neighbors(cloud, (0, 0, 0), 0.5)
+        g.balls([(0, 0, 0)], 0.5)
 
 
 def test_radius_neighbors_matches_linear_scan():
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, 1, (1000, 3))
-    cloud = PointCloud(pts, 0.1)
-    index = GridIndex(pts, 0.07)
-    for q in rng.uniform(0, 1, (50, 3)):
-        diff = pts - q
-        sq = np.einsum("ij,ij->i", diff, diff)
-        want = np.nonzero(sq <= 0.07 * 0.07)[0].tolist()
-        assert radius_neighbors(cloud, q, 0.07, index=index).tolist() == want
-        assert radius_neighbors(cloud, q, 0.07).tolist() == want
+    g = build_graph(PointCloud(pts, 0.1), 0.03)
+    qs = rng.uniform(0, 1, (50, 3))
+    for radius in (0.07, 0.2):
+        for q, got in zip(qs, g.balls(qs, radius)):
+            diff = pts - q
+            sq = np.einsum("ij,ij->i", diff, diff)
+            assert got.tolist() == np.nonzero(sq <= radius * radius)[0].tolist()
 
 
 def test_query_many_agrees_with_single_queries():
+    # 80 queries span more than one block of tree calls
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 1, (400, 2))
-    index = GridIndex(pts, 0.05)
+    g = build_graph(PointCloud(pts, 0.1), 0.05)
     qs = rng.uniform(-0.1, 1.1, (80, 2))
-    batched = index.query_many(qs, 0.12)
+    batched = g.balls(qs, 0.12)
+    assert len(batched) == len(qs)
     for q, got in zip(qs, batched):
-        assert got.tolist() == index.query(q, 0.12).tolist()
+        assert got.tolist() == g.balls([q], 0.12)[0].tolist()
 
 
 def test_subset_components_with_and_without_index_agree():
+    # labels from radius queries equal those of a linear scan over the subset
     rng = np.random.default_rng(21)
     pts = rng.uniform(0, 1, (250, 2))
     subset = list(range(0, 250, 3))
-    index = GridIndex(pts, 0.15)
-    a = subset_components(pts, subset, 0.15)
-    b = subset_components(pts, subset, 0.15, index=index)
-    assert a.labels == b.labels
+    g = build_graph(PointCloud(pts, 0.1), 0.05)
+    scan = [set(np.nonzero(np.einsum("ij,ij->i", pts - p, pts - p)
+                           <= 0.15 * 0.15)[0].tolist()) for p in pts]
+    want = {i: min(part) for part in bfs_partition(scan, subset, pts, 0.15)
+            for i in part}
+    assert components(g, subset, 0.15).labels == want
 
 
 def test_order_independence_of_partition():

@@ -40,6 +40,17 @@ def test_cluster_vertices_star_single_cluster():
     assert sorted(clusters[0]) == sorted(labels.indices_of(0).tolist())
 
 
+def test_cluster_vertices_huge_threshold_single_cluster(truth_3d):
+    # 1000 eps: every dimension-0 sample joins one cluster, in memory
+    # bounded by the cloud, not by the threshold
+    cloud = sample_graph(truth_3d, EPS, SampleOptions(seed=1))
+    graph = build_graph(cloud, 3.0 * EPS)
+    labels = classify_all(cloud, graph)
+    clusters = cluster_vertices(cloud, graph, labels, threshold=1000 * EPS)
+    assert len(clusters) == 1
+    assert list(clusters[0]) == labels.indices_of(0).tolist()
+
+
 def test_cluster_edges_parallel_segments():
     seg_a = [(0.1 * k, 0.0) for k in range(11)]
     seg_b = [(0.1 * k, 1.0) for k in range(11)]
@@ -72,9 +83,8 @@ def test_assign_incidence_single_segment():
     cloud = PointCloud(seg, EPS)
     vertex_clusters = [[0], [30]]
     edge_clusters = [list(range(1, 30))]
-    graph, incidence = assign_incidence(cloud, vertex_clusters, edge_clusters)
-    assert graph.vertex_count == 2
-    assert graph.edges == ((0, 1),)
+    graph = build_graph(cloud, 3.0 * EPS)
+    incidence = assign_incidence(cloud, graph, vertex_clusters, edge_clusters)
     assert incidence == [(0, 1)]
 
 
@@ -85,11 +95,24 @@ def test_assign_incidence_tight_loop_raises():
     cloud = PointCloud(ring, EPS)
     vertex_clusters = [[0]]
     edge_clusters = [list(range(1, 40))]
+    graph = build_graph(cloud, 3.0 * EPS)
     with pytest.raises(IncidenceError) as info:
-        assign_incidence(cloud, vertex_clusters, edge_clusters)
+        assign_incidence(cloud, graph, vertex_clusters, edge_clusters)
     assert info.value.edge_cluster == 0
     assert info.value.candidates == (0,)
     assert "expected exactly 2" in str(info.value)
+
+
+def test_assign_incidence_parallel_edge_clusters_rejected():
+    # two strands between the same two vertex clusters would be a
+    # parallel edge, which the abstract graph does not allow
+    strand_a = [(0.1 * k, 0.1) for k in range(1, 30)]
+    strand_b = [(0.1 * k, -0.1) for k in range(1, 30)]
+    cloud = PointCloud([(0.0, 0.0), (3.0, 0.0)] + strand_a + strand_b, EPS)
+    graph = build_graph(cloud, 3.0 * EPS)
+    with pytest.raises(ValueError, match="duplicate edge"):
+        assign_incidence(cloud, graph, [[0], [1]],
+                         [list(range(2, 31)), list(range(31, 60))])
 
 
 def test_assign_incidence_respects_link_threshold():
@@ -97,9 +120,10 @@ def test_assign_incidence_respects_link_threshold():
     cloud = PointCloud(seg, EPS)
     vertex_clusters = [[0], [30]]
     edge_clusters = [list(range(1, 30))]
+    graph = build_graph(cloud, 3.0 * EPS)
     # shrinking the link radius below the sample gap breaks incidence
     with pytest.raises(IncidenceError):
-        assign_incidence(cloud, vertex_clusters, edge_clusters,
+        assign_incidence(cloud, graph, vertex_clusters, edge_clusters,
                          link_threshold=0.05)
 
 
