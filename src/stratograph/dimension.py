@@ -22,6 +22,15 @@ ball members, taking pairs from the neighbourhood graph's adjacency:
 apart from one index and two flags per pair, its working set is bounded
 by one block.
 
+The angle test (c) runs batched over a block: centroids come from one
+sum per (ball, component), cosines and norms from one pass.  The batch
+decides a sample only when its cosine is further from the threshold's
+than a bound on the rounding in both its own arithmetic and
+``angle_test``'s, and both centroid norms clear the degenerate limit by
+that bound; the bound grows with the component sizes, the coordinate
+magnitude and the inverse centroid norms.  Every other sample goes to
+``angle_test`` itself, so the labels are those of ``classify_point``.
+
 All thresholds live in ``ClassifierParams`` so experiments can probe them;
 the defaults are the operating values above.
 """
@@ -187,8 +196,56 @@ def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
     return indptr, cols, ann_ok, ball_ok
 
 
+def _angle_labels(pts: np.ndarray, queries: np.ndarray, flat: np.ndarray,
+                  owner: np.ndarray, annulus: np.ndarray, lab: np.ndarray,
+                  angle_threshold: float, scale: float) -> np.ndarray:
+    """``angle_test`` for every query whose annulus has two components.
+
+    ``annulus`` marks the annulus nodes of exactly those queries, in
+    order, and ``lab`` their component roots.  One pass sums each
+    component and takes norms and cosines for all queries at once.  A
+    query is decided here only when its cosine is further from the
+    threshold's than the rounding-error bound below, and both centroid
+    norms clear ``_DEGENERATE`` by it; ``angle_test`` decides the rest.
+    """
+    nodes = np.flatnonzero(annulus)
+    rank = np.cumsum(np.r_[True, owner[nodes[1:]] != owner[nodes[:-1]]]) - 1
+    first = nodes[np.searchsorted(rank, np.arange(len(queries)))]
+    group = 2 * rank + (lab[nodes] != first[rank])
+    size = np.bincount(group, minlength=2 * len(queries))
+    coords = pts[flat[nodes]]
+    sums = np.stack([np.bincount(group, weights=coords[:, c], minlength=len(size))
+                     for c in range(pts.shape[1])], axis=1)
+    cent = (sums / size[:, None]).reshape(len(queries), 2, -1) - pts[queries][:, None]
+    norm = np.sqrt(np.einsum("ijk,ijk->ij", cent, cent))
+    dot = np.einsum("ij,ij->i", cent[:, 0], cent[:, 1])
+    # A centroid of m points with coordinates of size <= scale is off the
+    # exact one by at most sqrt(d)*(m + 2)*u*scale, however it is summed,
+    # so twice that bounds its distance from angle_test's; err doubles it
+    # again and adds the rounding of either norm.  Moving a vector of norm
+    # n by e turns it by at most (pi/2)*e/n, and evaluating a cosine
+    # rounds it by at most (2d + 5)*u in either place.
+    dim = pts.shape[1]
+    u = np.finfo(float).eps / 2.0
+    err = (4.0 * math.sqrt(dim) * u * scale * (size + 3).reshape(norm.shape)
+           + 16.0 * u * norm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = dot / (norm[:, 0] * norm[:, 1])
+        bound = 2.0 * (err / norm).sum(axis=1) + 16.0 * dim * u
+    cos_threshold = math.cos(angle_threshold)
+    sure = ((norm - err > _DEGENERATE).all(axis=1)
+            & (np.abs(cos - cos_threshold) > bound))
+    out = np.where(cos > cos_threshold, 0, 1)
+    for k in np.flatnonzero(~sure):
+        members = nodes[rank == k]
+        side = lab[members] == first[k]
+        out[k] = angle_test(pts[queries[k]], pts[flat[members[side]]],
+                            pts[flat[members[~side]]], angle_threshold)
+    return out
+
+
 def _classify_block(pts: np.ndarray, queries: np.ndarray, balls: list,
-                    pairs, params: ClassifierParams) -> np.ndarray:
+                    pairs, params: ClassifierParams, scale: float) -> np.ndarray:
     """Labels of ``queries``, whose local balls are ``balls``.
 
     The members of all balls are laid out one ball after another, each in
@@ -200,7 +257,6 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls: list,
     indptr, indices, ann_ok, ball_ok = pairs
     n = len(pts)
     sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
-    ends = np.cumsum(sizes)
     flat = np.concatenate(balls)
     owner = np.repeat(np.arange(len(balls)), sizes)
     nodes = np.arange(len(flat))
@@ -230,12 +286,10 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls: list,
     n_ann = np.bincount(owner[annulus & (lab == nodes)], minlength=len(balls))
 
     out = np.zeros(len(balls), dtype=int)
-    for k in np.flatnonzero(n_ann == 2):
-        lo = ends[k] - sizes[k]
-        members = np.flatnonzero(annulus[lo:ends[k]]) + lo
-        first = lab[members] == members[0]
-        out[k] = angle_test(pts[queries[k]], pts[flat[members[first]]],
-                            pts[flat[members[~first]]], params.angle_threshold)
+    two = n_ann == 2
+    if two.any():
+        out[two] = _angle_labels(pts, queries[two], flat, owner, annulus & two[owner],
+                                 lab, params.angle_threshold, scale)
 
     ball_test = out == 0
     if ball_test.any():
@@ -253,6 +307,8 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     members (or one ball, if larger).  In each block the annulus test runs
     first, and the ball test only for samples whose annulus gives 0: the
     label is 1 when either test says 1, so the order cannot change it.
+    The angle test runs batched; ``angle_test`` itself decides only the
+    samples whose cosine or centroid norms lie within rounding of a limit.
     Components come from the pairs in ``graph.adjacency``, tested with the
     same squared-distance comparison as the per-ball reference, or from
     ``graph.balls`` when a threshold exceeds ``graph.radius``.  Beyond
@@ -266,6 +322,7 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     nbrs = (graph.adjacency if reach <= graph.radius
             else graph.balls(pts, reach))
     pairs = _upper_pairs(pts, nbrs, params)
+    scale = float(np.max(np.abs(pts), initial=0.0))
     out = np.empty(n, dtype=int)
     balls, lo, size = [], 0, 1
     while lo < n:
@@ -276,7 +333,8 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
         members = np.cumsum([len(b) for b in balls])
         take = max(1, int(np.searchsorted(members, _BLOCK_MEMBERS, side="right")))
         queries = np.arange(lo, lo + take)
-        out[queries] = _classify_block(pts, queries, balls[:take], pairs, params)
+        out[queries] = _classify_block(pts, queries, balls[:take], pairs, params,
+                                       scale)
         # nearby samples have similar balls: size the next block by these
         size = max(1, _BLOCK_MEMBERS * take // int(members[take - 1]))
         balls, lo = balls[take:], lo + take

@@ -21,9 +21,15 @@ from .core import PointCloud
 # The tree is asked at radius * _SLACK: far above its rounding error, so
 # no point passing the exact predicate is missed.
 _SLACK = 1.0 + 1e-9
-# Queries per tree call, and subset members per block of ``components``:
-# bounds the candidate lists and pairs held at once.
+# Queries per tree call, and most subset members per block of
+# ``components``.
 _BLOCK = 64
+# Candidates per block of ``components``: blocks shrink below ``_BLOCK``
+# members when balls are large, so a threshold spanning the cloud holds
+# about this many pairs, not ``_BLOCK`` times the cloud.  Blocks stay
+# full up to 256 candidates per member; at 10 eps the largest balls of
+# the benchmark clouds hold 163 samples.
+_BLOCK_CANDIDATES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -125,9 +131,12 @@ def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentLabeling:
     """Connected components of ``subset`` using only pairs with d <= threshold.
 
-    Any threshold works: pairs come from ``graph.balls``, taken ``_BLOCK``
+    Any threshold works: pairs come from ``graph.balls``, a block of
     members at a time, and each block's pairs are hooked onto the roots
-    found so far, so only one block's pairs are held at once.
+    found so far, so only one block's pairs are held at once.  The first
+    block is one member; each next one takes as many members (at most
+    ``_BLOCK``) as fit ``_BLOCK_CANDIDATES`` at the candidates per member
+    the last block returned.
     """
     n = graph.n_points
     members = np.unique(np.asarray(subset, dtype=int))
@@ -138,13 +147,16 @@ def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentL
     position[members] = np.arange(len(members))
     lab = np.arange(len(members))
     pts = graph.cloud.array
-    for lo in range(0, len(members), _BLOCK):
-        balls = graph.balls(pts[members[lo:lo + _BLOCK]], threshold)
+    lo, size = 0, 1
+    while lo < len(members):
+        balls = graph.balls(pts[members[lo:lo + size]], threshold)
         sizes = np.fromiter(map(len, balls), dtype=int, count=len(balls))
         src = np.repeat(np.arange(lo, lo + len(balls)), sizes)
         dst = position[np.concatenate(balls)]
         later = dst > src  # each pair once; non-members are -1
         lab = _min_labels(len(members), lab[src[later]], lab[dst[later]])[lab]
+        lo += len(balls)
+        size = min(_BLOCK, max(1, _BLOCK_CANDIDATES * len(balls) // max(1, len(src))))
     roots = members[lab]
     return ComponentLabeling(dict(zip(members.tolist(), roots.tolist())),
                              len(np.unique(roots)))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import stratograph.dimension
 from stratograph import (AbstractGraph, ClassifierParams, EmbeddedGraph,
                          PointCloud, SampleOptions, angle_test, build_graph,
                          classify_all, classify_point, sample_graph)
@@ -170,6 +171,59 @@ def test_classify_all_matches_classify_point():
                   # samples 5 eps apart: the neighbourhood graph has no edges
                   PointCloud([(5.0 * EPS * k, 0.0) for k in range(6)], EPS)):
         assert_matches_classify_point(cloud, params)
+
+
+def count_angle_fallbacks(monkeypatch, cloud, params):
+    """Calls of ``angle_test`` while ``classify_all`` labels ``cloud``,
+    and the labels, checked against ``classify_point``."""
+    graph = build_graph(cloud, 3.0 * cloud.epsilon)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return angle_test(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(stratograph.dimension, "angle_test", counted)
+        batched = classify_all(cloud, graph, params).labels
+    single = [classify_point(cloud, graph, i, params) for i in range(len(cloud))]
+    assert batched.tolist() == single
+    return len(calls), batched
+
+
+def test_batched_angle_test_decides_ordinary_clouds(monkeypatch):
+    params = ClassifierParams.from_epsilon(EPS)
+    for cloud in (five_vertex_cloud(EMBED_2D), five_vertex_cloud(EMBED_3D, seed=1)):
+        calls, _ = count_angle_fallbacks(monkeypatch, cloud, params)
+        assert calls == 0
+
+
+def test_angle_fallback_at_threshold_angle(monkeypatch):
+    # the corner's annulus centroids span the threshold angle itself, up
+    # to rounding, so only angle_test may decide the corner sample
+    params = ClassifierParams.from_epsilon(EPS)
+    cloud = corner_cloud(EPS, angle=params.angle_threshold, arm_steps=30,
+                         spacing=EPS / 2)
+    calls, _ = count_angle_fallbacks(monkeypatch, cloud, params)
+    assert calls >= 1
+
+
+def test_angle_fallback_degenerate_centroid(monkeypatch):
+    # a full ring of the annulus, centred 5e-13 off q and so degenerate,
+    # and a small arc beyond it on the other side: the two centroids span
+    # an angle of pi, which only the degenerate rule turns into 0.  The
+    # wide ball threshold joins q to the ring, so that rule decides q.
+    eps = 0.01
+    params = ClassifierParams.from_epsilon(eps, annulus_edge_threshold=eps,
+                                           ball_edge_threshold=9.0 * eps)
+    ring = [(8.5 * eps * math.cos(a) - 5e-13, 8.5 * eps * math.sin(a))
+            for a in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)]
+    arc = [(9.9 * eps * math.cos(a), 9.9 * eps * math.sin(a))
+           for a in (-0.01, 0.0, 0.01)]
+    cloud = PointCloud([(0.0, 0.0)] + ring + arc, eps)
+    calls, labels = count_angle_fallbacks(monkeypatch, cloud, params)
+    assert calls >= 1
+    assert labels[0] == 0
 
 
 def test_parallel_strands_decided_by_ball_test():

@@ -149,12 +149,15 @@ def test_json_output_is_deterministic(tmp_path, cloud):
     b = str(tmp_path / "b.json")
     write_cloud(cloud, a)
     write_cloud(cloud, b)
-    assert open(a, "rb").read() == open(b, "rb").read()
-    assert open(a).read().endswith("\n")
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        assert fa.read() == fb.read()
+    with open(a) as fa:
+        assert fa.read().endswith("\n")
 
 
 def test_write_report(tmp_path):
     path = str(tmp_path / "report.json")
     write_report({"isomorphic": True, "max_vertex_error": 0.01}, path)
-    data = json.loads(open(path).read())
+    with open(path) as fh:
+        data = json.loads(fh.read())
     assert data == {"isomorphic": True, "max_vertex_error": 0.01}

@@ -1,4 +1,6 @@
 """Threshold graphs, radius queries, and component labeling vs oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,22 @@ def test_components_tie_above_radius_included():
     assert components(g, [0, 1], TIE_RADIUS).component_count == 1
     below = np.nextafter(TIE_RADIUS, 0.0)
     assert components(g, [0, 1], below).component_count == 2
+
+
+def test_components_cloud_spanning_threshold_memory_bounded():
+    # at a threshold spanning the cloud every ball is the whole cloud;
+    # blocks of 64 such balls peak near 8 MB here, blocks sized by their
+    # candidates near 2 MB
+    rng = np.random.default_rng(23)
+    g = build_graph(PointCloud(rng.uniform(0, 1, (1000, 3)), 0.01), 0.03)
+    tracemalloc.start()
+    try:
+        lab = components(g, range(1000), 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lab.component_count == 1
+    assert peak < 4e6
 
 
 def test_components_subset_index_out_of_range():

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
-from stratograph import (AbstractGraph, EmbeddedGraph, SampleOptions,
-                         check_assumptions, sample_graph,
+from stratograph import (AbstractGraph, EmbeddedGraph, FitProblem, PointCloud,
+                         SampleOptions, check_assumptions, fit,
+                         reconstruct_structure, sample_graph,
                          validate_epsilon_sample)
 from stratograph.geometry import dist_to_embedded_graph
 from conftest import EPS, EMBED_2D, EMBED_3D, FIVE_VERTEX_EDGES
@@ -14,6 +16,37 @@ from conftest import EPS, EMBED_2D, EMBED_3D, FIVE_VERTEX_EDGES
 def segment_graph(length=1.0):
     g = AbstractGraph(2, [(0, 1)])
     return EmbeddedGraph(g, [(0.0, 0.0), (length, 0.0)])
+
+
+def full_net_certificate(cloud, graph, epsilon=None, resolution=None):
+    """Reference for validate_epsilon_sample: the exact distance of every
+    sample, and the nearest-sample distance of every point of every
+    edge's resolution net."""
+    if epsilon is None:
+        epsilon = cloud.epsilon
+    if resolution is None:
+        resolution = epsilon / 100.0
+    pts = cloud.array
+    pos = graph.vertex_positions
+    d1 = float(np.max(dist_to_embedded_graph(pts, pos, graph.graph.edges)))
+    net = [pos]
+    for (i, j) in graph.graph.edges:
+        length = float(np.linalg.norm(pos[i] - pos[j]))
+        m = max(1, math.ceil(length / resolution))
+        t = np.arange(1, m)[:, None] / m
+        net.append(t * pos[i] + (1.0 - t) * pos[j])
+    gaps, _ = cKDTree(pts).query(np.vstack(net))
+    d2 = float(np.max(gaps)) + resolution / 2.0
+    return (d1 <= epsilon and d2 <= epsilon), max(d1, d2)
+
+
+def lattice_graph(side=3, step=4.0):
+    """``side`` x ``side`` grid graph with unit cells ``step`` wide."""
+    index = {(r, c): r * side + c for r in range(side) for c in range(side)}
+    edges = [(index[r, c], index[r, c + 1]) for r in range(side) for c in range(side - 1)]
+    edges += [(index[r, c], index[r + 1, c]) for r in range(side - 1) for c in range(side)]
+    return EmbeddedGraph(AbstractGraph(side * side, edges),
+                         [(step * c, step * r) for r in range(side) for c in range(side)])
 
 
 def test_options_defaults_resolve_to_half_epsilon():
@@ -183,3 +216,61 @@ def test_report_as_dict_uses_pass_key():
     assert d["pass"] is True
     assert set(d) >= {"min_incident_angle", "min_edge_length",
                       "min_vertex_separation", "pass", "violations"}
+
+
+@pytest.mark.parametrize("name, value", [
+    ("resolution", -1.0), ("resolution", 0.0), ("resolution", math.inf),
+    ("resolution", math.nan), ("epsilon", 0.0), ("epsilon", -0.1),
+    ("epsilon", math.inf), ("epsilon", math.nan)])
+def test_validator_rejects_bad_epsilon_and_resolution(name, value):
+    cloud = PointCloud([(0.0, 0.0), (1.0, 0.0)], 0.1)
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        validate_epsilon_sample(cloud, segment_graph(1.0), **{name: value})
+
+
+def _certificate_cases():
+    five = [EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), emb)
+            for emb in (EMBED_2D, EMBED_3D)]
+    for seed in range(4):
+        for truth in five:
+            yield truth, sample_graph(truth, EPS, SampleOptions(seed=seed))
+            yield truth, sample_graph(truth, EPS, SampleOptions(seed=seed,
+                                                                spacing=EPS / 5))
+    lattice = lattice_graph()
+    yield lattice, sample_graph(lattice, EPS, SampleOptions(seed=5))
+    truth = five[0]
+    cloud = sample_graph(truth, EPS, SampleOptions(seed=6))
+    # an outlier fails the sample-to-graph direction
+    yield truth, PointCloud(np.vstack([cloud.array, [(1.0, 3.0)]]), EPS)
+    # a gap in the middle of the pendant edge fails coverage
+    keep = np.abs(cloud.array[:, 0] + 2.0) > 0.3
+    yield truth, PointCloud(cloud.array[keep], EPS)
+    # the isolated vertex alone left uncovered
+    keep = np.linalg.norm(cloud.array - EMBED_2D[4], axis=1) > 0.2
+    yield truth, PointCloud(cloud.array[keep], EPS)
+    # the fitted graph the CLI pipeline certifies its cloud against
+    fitted = fit(FitProblem(cloud, reconstruct_structure(cloud))).embedded_graph()
+    yield fitted, cloud
+    # far from the origin, where rounding of coordinates is largest
+    yield (EmbeddedGraph(truth.graph, EMBED_2D + 1e7),
+           PointCloud(cloud.array + 1e7, EPS))
+    # when the coarse net of the segment is its two ends (resolution eps),
+    # (0.5, 0.3) is farthest from it, yet (-0.32, 0) from the segment
+    yield segment_graph(1.0), PointCloud([(k / 100.0, 0.0) for k in range(101)]
+                                         + [(0.5, 0.3), (-0.32, 0.0)], EPS)
+    # no edges at all
+    single = EmbeddedGraph(AbstractGraph(1, []), [(2.0, -1.0)])
+    yield single, PointCloud([(2.0, -1.0)], EPS)
+    yield single, PointCloud([(2.05, -1.0), (1.9, -1.2)], EPS)
+
+
+def test_validator_matches_full_net_reference():
+    verdicts = set()
+    for truth, cloud in _certificate_cases():
+        for resolution in (None, EPS / 7, EPS, 3.0):
+            want = full_net_certificate(cloud, truth, resolution=resolution)
+            got = validate_epsilon_sample(cloud, truth, resolution=resolution)
+            assert got == want
+            assert type(got[1]) is float
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
