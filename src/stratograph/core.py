@@ -53,11 +53,10 @@ class PointCloud:
     def array(self) -> np.ndarray:
         """All points as an (n_points, ambient_dim) array; requires a valid cloud."""
         if self._array is None:
-            report = validate_cloud(self)
+            report, arr = _validate(self)
             if not report.valid:
                 raise ValueError("invalid point cloud: " + "; ".join(report.findings))
-            self._array = _freeze(np.array(self._points, dtype=float).reshape(
-                len(self._points), self.ambient_dim))
+            self._array = _freeze(arr)
         return self._array
 
     def __eq__(self, other) -> bool:
@@ -95,26 +94,44 @@ class ValidationReport:
 
 def validate_cloud(cloud: PointCloud) -> ValidationReport:
     """Check the PointCloud invariants, reporting every violation found."""
+    return _validate(cloud)[0]
+
+
+def _validate(cloud: PointCloud):
+    """``(report, array)``: the report of ``validate_cloud`` and, when every
+    point has ``ambient_dim`` coordinates, the points stacked as an
+    (n_points, ambient_dim) array, else None.
+
+    The points are concatenated once; lengths and finiteness are checked
+    on the whole stack, and findings are listed in index order.
+    """
     findings = []
     warnings = []
     if not np.isfinite(cloud.epsilon) or cloud.epsilon <= 0.0:
         findings.append("epsilon must be positive")
-    if len(cloud) == 0:
+    n = len(cloud)
+    if n == 0:
         findings.append("point cloud is empty")
-    for i, p in enumerate(cloud.points):
-        if len(p) != cloud.ambient_dim:
-            findings.append(
-                f"point {i} has {len(p)} coordinates, expected {cloud.ambient_dim}")
-        elif not np.all(np.isfinite(p)):
+        return ValidationReport(tuple(findings)), None
+    lens = np.fromiter(map(len, cloud.points), dtype=np.int64, count=n)
+    flat = np.concatenate(cloud.points)
+    nonfinite = np.bincount(np.repeat(np.arange(n), lens)[~np.isfinite(flat)],
+                            minlength=n) > 0
+    wrong = lens != cloud.ambient_dim
+    for i in np.flatnonzero(wrong | nonfinite).tolist():
+        if wrong[i]:
+            findings.append(f"point {i} has {lens[i]} coordinates, "
+                            f"expected {cloud.ambient_dim}")
+        else:
             findings.append(f"non-finite coordinate at index {i}")
-    if not findings and len(cloud) > 1:
-        arr = np.array(cloud.points)
+    arr = None if wrong.any() else flat.reshape(n, cloud.ambient_dim)
+    if not findings and n > 1:
         order = np.lexsort(arr.T)
         same = np.all(arr[order][1:] == arr[order][:-1], axis=1)
         for k in np.nonzero(same)[0]:
             warnings.append(
                 f"duplicate point: indices {order[k]} and {order[k + 1]}")
-    return ValidationReport(tuple(findings), tuple(warnings))
+    return ValidationReport(tuple(findings), tuple(warnings)), arr
 
 
 @dataclass(frozen=True)

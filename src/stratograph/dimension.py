@@ -18,7 +18,7 @@ annulus test (b)-(c) says 1, so the order of the two cannot change it.
 ``classify_all`` therefore runs the annulus test first and the ball test
 only where the annulus gives 0; most samples on an edge never need the
 larger ball graph.  It classifies blocks of at most ``_BLOCK_MEMBERS``
-ball members, taking pairs from the neighbourhood graph's adjacency:
+ball members, taking pairs from the neighbourhood graph's CSR rows:
 apart from one index and two flags per pair, its working set is bounded
 by one block.
 
@@ -70,9 +70,10 @@ class ClassifierParams:
     angle_threshold: float = 2.0 * math.acos(0.25)
 
     def __post_init__(self):
-        if min(self.local_radius, self.annulus_inner, self.annulus_outer,
-               self.ball_edge_threshold, self.annulus_edge_threshold) <= 0.0:
-            raise ValueError("all classifier radii must be positive")
+        radii = (self.local_radius, self.annulus_inner, self.annulus_outer,
+                 self.ball_edge_threshold, self.annulus_edge_threshold)
+        if not all(math.isfinite(r) and r > 0.0 for r in radii):
+            raise ValueError("all classifier radii must be finite and positive")
         if not (self.annulus_inner < self.annulus_outer <= self.local_radius):
             raise ValueError("need annulus_inner < annulus_outer <= local_radius")
         if not (0.0 < self.angle_threshold <= math.pi):
@@ -162,12 +163,13 @@ def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
                    params: ClassifierParams) -> int:
     """Local dimension of one sample; always returns 0 or 1."""
     pts = cloud.array
-    ball_idx = graph.balls(pts[[q_index]], params.local_radius)[0]
+    _, ball_idx = graph.query(pts[[q_index]], params.local_radius)
     return _classify_ball(pts[q_index], pts[ball_idx], params)
 
 
 def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
-    """The pairs i < j listed in ``nbrs``, as CSR rows, with their tests.
+    """The pairs i < j of the CSR ``nbrs = (indptr, indices)``, with their
+    tests.
 
     Returns ``(indptr, indices, ann_ok, ball_ok)``: row i of ``indices``
     holds i's later neighbours, and ``ann_ok`` / ``ball_ok`` say whether
@@ -176,9 +178,8 @@ def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
     on differences taken ``_BLOCK_PAIRS`` pairs at a time.
     """
     n = len(pts)
-    lens = np.fromiter(map(len, nbrs), dtype=np.int64, count=n)
-    cols = np.concatenate(nbrs)
-    rows = np.repeat(np.arange(n, dtype=np.int32), lens)
+    nbr_ptr, cols = nbrs
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(nbr_ptr))
     keep = cols > rows
     rows, cols = rows[keep], cols[keep].astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
@@ -244,21 +245,21 @@ def _angle_labels(pts: np.ndarray, queries: np.ndarray, flat: np.ndarray,
     return out
 
 
-def _classify_block(pts: np.ndarray, queries: np.ndarray, balls: list,
+def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
                     pairs, params: ClassifierParams, scale: float) -> np.ndarray:
-    """Labels of ``queries``, whose local balls are ``balls``.
+    """Labels of ``queries``, whose local balls are ``balls = (sizes, flat)``.
 
-    The members of all balls are laid out one ball after another, each in
-    ascending point order, and a member's position in that layout is its
-    node.  A pair from ``pairs`` is an edge of every ball holding both of
-    its points.  Component roots are the smallest positions, so the two
-    annulus components come in the order ``_component_labels`` gives.
+    The members of all balls are laid out in ``flat`` one ball after
+    another, each in ascending point order, and a member's position in
+    that layout is its node.  A pair from ``pairs`` is an edge of every
+    ball holding both of its points.  Component roots are the smallest
+    positions, so the two annulus components come in the order
+    ``_component_labels`` gives.
     """
     indptr, indices, ann_ok, ball_ok = pairs
     n = len(pts)
-    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
-    flat = np.concatenate(balls)
-    owner = np.repeat(np.arange(len(balls)), sizes)
+    sizes, flat = balls
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     nodes = np.arange(len(flat))
     keys = owner * n + flat  # ascending: balls in order, members sorted
 
@@ -283,9 +284,9 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls: list,
     annulus = ((dq >= params.annulus_inner * params.annulus_inner)
                & (dq <= params.annulus_outer * params.annulus_outer))
     lab = _min_labels(len(flat), *edges(np.flatnonzero(annulus), ann_ok, annulus))
-    n_ann = np.bincount(owner[annulus & (lab == nodes)], minlength=len(balls))
+    n_ann = np.bincount(owner[annulus & (lab == nodes)], minlength=len(sizes))
 
-    out = np.zeros(len(balls), dtype=int)
+    out = np.zeros(len(sizes), dtype=int)
     two = n_ann == 2
     if two.any():
         out[two] = _angle_labels(pts, queries[two], flat, owner, annulus & two[owner],
@@ -294,7 +295,7 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls: list,
     ball_test = out == 0
     if ball_test.any():
         lab = _min_labels(len(flat), *edges(np.flatnonzero(ball_test[owner]), ball_ok))
-        n_ball = np.bincount(owner[lab == nodes], minlength=len(balls))
+        n_ball = np.bincount(owner[lab == nodes], minlength=len(sizes))
         out[ball_test & (n_ball != 1)] = 1
     return out
 
@@ -309,33 +310,38 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     label is 1 when either test says 1, so the order cannot change it.
     The angle test runs batched; ``angle_test`` itself decides only the
     samples whose cosine or centroid norms lie within rounding of a limit.
-    Components come from the pairs in ``graph.adjacency``, tested with the
-    same squared-distance comparison as the per-ball reference, or from
-    ``graph.balls`` when a threshold exceeds ``graph.radius``.  Beyond
-    the pair list, memory is bounded by one block.
+    Components come from the pairs of the graph's CSR neighbours, tested
+    with the same squared-distance comparison as the per-ball reference,
+    or from ``graph.query`` when a threshold exceeds ``graph.radius``.
+    Balls are held as one ``(sizes, flat)`` pair.  Beyond the pair list,
+    memory is bounded by one block.
     """
     if params is None:
         params = ClassifierParams.from_epsilon(cloud.epsilon)
     pts = cloud.array
     n = len(pts)
     reach = max(params.annulus_edge_threshold, params.ball_edge_threshold)
-    nbrs = (graph.adjacency if reach <= graph.radius
-            else graph.balls(pts, reach))
+    nbrs = ((graph.indptr, graph.indices) if reach <= graph.radius
+            else graph.query(pts, reach))
     pairs = _upper_pairs(pts, nbrs, params)
     scale = float(np.max(np.abs(pts), initial=0.0))
     out = np.empty(n, dtype=int)
-    balls, lo, size = [], 0, 1
+    sizes, flat = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    lo, size = 0, 1
     while lo < n:
-        if len(balls) < size:
-            ahead = pts[lo + len(balls):lo + size]
-            balls += graph.balls(ahead, params.local_radius)
+        if len(sizes) < size:
+            indptr, more = graph.query(pts[lo + len(sizes):lo + size],
+                                       params.local_radius)
+            sizes = np.concatenate([sizes, np.diff(indptr)])
+            flat = np.concatenate([flat, more])
         # the leading balls that fit the budget (at least one); the rest wait
-        members = np.cumsum([len(b) for b in balls])
+        members = np.cumsum(sizes)
         take = max(1, int(np.searchsorted(members, _BLOCK_MEMBERS, side="right")))
+        used = int(members[take - 1])
         queries = np.arange(lo, lo + take)
-        out[queries] = _classify_block(pts, queries, balls[:take], pairs, params,
-                                       scale)
+        out[queries] = _classify_block(pts, queries, (sizes[:take], flat[:used]),
+                                       pairs, params, scale)
         # nearby samples have similar balls: size the next block by these
-        size = max(1, _BLOCK_MEMBERS * take // int(members[take - 1]))
-        balls, lo = balls[take:], lo + take
+        size = max(1, _BLOCK_MEMBERS * take // used)
+        sizes, flat, lo = sizes[take:], flat[used:], lo + take
     return DimensionLabels(out)

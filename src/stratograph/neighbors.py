@@ -1,16 +1,19 @@
 """Threshold graphs on point indices: one radius query, one components routine.
 
 Adjacency is defined by d(p, q) <= r with the comparison done on squared
-distances; ties at exactly r are included.  ``NeighborhoodGraph.balls``
-answers every radius query on the cloud: a scipy k-d tree, asked with a
-little slack, proposes candidates, and each is kept only if it passes that
-exact predicate, so the tree's own distance arithmetic never decides a tie.
-``components`` labels the connected components of any index subset at any
-threshold from those queries.
+distances; ties at exactly r are included.  ``NeighborhoodGraph.query``
+answers every radius query on the cloud and returns CSR arrays, one
+ascending row per query point.  A scipy k-d tree over each block of query
+rows, asked against the cloud's tree with a little slack, proposes
+candidate pairs, and each is kept only if it passes that exact predicate,
+so the tree's own distance arithmetic never decides a tie.  The graph
+stores its own neighbours in the same CSR form, and ``components``
+labels the connected components of any index subset at any threshold
+from those queries.
 """
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +24,10 @@ from .core import PointCloud
 # The tree is asked at radius * _SLACK: far above its rounding error, so
 # no point passing the exact predicate is missed.
 _SLACK = 1.0 + 1e-9
-# Queries per tree call, and most subset members per block of
-# ``components``.
+# Query rows per tree call: a call holds the candidate pairs of this many
+# rows, never those of the whole query.
+_QUERY_ROWS = 256
+# Most subset members per block of ``components``.
 _BLOCK = 64
 # Candidates per block of ``components``: blocks shrink below ``_BLOCK``
 # members when balls are large, so a threshold spanning the cloud holds
@@ -50,49 +55,64 @@ class ComponentLabeling:
 
 
 class NeighborhoodGraph:
-    """Graph connecting sample indices whose distance is at most ``radius``."""
+    """Graph connecting sample indices whose distance is at most ``radius``.
+
+    Row i of the CSR arrays ``indptr`` / ``indices`` lists the neighbours
+    of sample i other than i itself, in ascending order.
+    """
 
     def __init__(self, cloud: PointCloud, radius: float):
-        if radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0.0):
+            raise ValueError("radius must be finite and positive")
         self.cloud = cloud
         self.radius = float(radius)
-        self.tree = cKDTree(cloud.array)
-        balls = self.balls(cloud.array, self.radius)
-        self.adjacency = tuple(nb[nb != i] for i, nb in enumerate(balls))
+        pts = cloud.array
+        n = len(pts)
+        self.tree = cKDTree(pts)
+        indptr, indices = self.query(pts, self.radius)
+        # every row holds its own point once: distance 0 <= radius
+        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
+        self.indices = indices[indices != rows]
+        self.indptr = indptr - np.arange(n + 1)
 
     @property
     def n_points(self) -> int:
-        return len(self.adjacency)
+        return len(self.indptr) - 1
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return len(self.indices) // 2
 
-    def balls(self, qs, radius: float) -> list:
-        """One sorted index array per row q of ``qs``: the cloud points p
-        with d(p, q) <= radius.
+    def query(self, qs, radius: float):
+        """CSR ``(indptr, indices)``: row k lists the cloud points p with
+        d(p, qs[k]) <= radius, in ascending order.
 
         The tree proposes candidates within ``radius * _SLACK``; each is
         kept if the einsum of ``p - q`` with itself is <= radius * radius.
+        A negative radius gives empty rows.  Rows are taken
+        ``_QUERY_ROWS`` at a time, each block with one tree call, so only
+        one block's candidates are held at once.
         """
+        if not math.isfinite(radius):
+            raise ValueError("radius must be finite")
         qs = np.asarray(qs, dtype=float)
         if radius < 0.0:
-            return [np.empty(0, dtype=int)] * len(qs)
+            return np.zeros(len(qs) + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
         pts = self.cloud.array
-        out = []
-        for lo in range(0, len(qs), _BLOCK):
-            block = qs[lo:lo + _BLOCK]
-            cand = self.tree.query_ball_point(block, radius * _SLACK,
-                                              return_sorted=True)
-            sizes = np.fromiter(map(len, cand), dtype=int, count=len(cand))
-            flat = np.fromiter(itertools.chain.from_iterable(cand), dtype=int,
-                               count=int(sizes.sum()))
-            owner = np.repeat(np.arange(len(block)), sizes)
-            diff = pts[flat] - block[owner]
+        n = len(pts)
+        counts, parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+        for lo in range(0, len(qs), _QUERY_ROWS):
+            block = qs[lo:lo + _QUERY_ROWS]
+            cand = cKDTree(block).sparse_distance_matrix(
+                self.tree, radius * _SLACK, output_type="ndarray")
+            rows, cols = cand["i"], cand["j"]
+            diff = pts[cols] - block[rows]
             keep = np.einsum("ij,ij->i", diff, diff) <= radius * radius
-            counts = np.bincount(owner[keep], minlength=len(block))
-            out += np.split(flat[keep], np.cumsum(counts)[:-1])
-        return out
+            rows, cols = np.divmod(np.sort(rows[keep] * n + cols[keep]), n)
+            counts.append(np.bincount(rows, minlength=len(block)))
+            parts.append(cols)
+        indptr = np.zeros(len(qs) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        return indptr, np.concatenate(parts)
 
     def __repr__(self) -> str:
         return (f"NeighborhoodGraph(n={self.n_points}, radius={self.radius}, "
@@ -102,6 +122,25 @@ class NeighborhoodGraph:
 def build_graph(cloud: PointCloud, radius: float) -> NeighborhoodGraph:
     """Connect all pairs of cloud points within ``radius`` of each other."""
     return NeighborhoodGraph(cloud, radius)
+
+
+def query_blocks(graph: NeighborhoodGraph, rows: np.ndarray, radius: float):
+    """``(sel, indptr, indices)`` for consecutive blocks of the point
+    indices ``rows``: ``sel`` holds the block's positions in ``rows`` and
+    ``(indptr, indices)`` is ``graph.query`` of the points ``rows[sel]``.
+
+    The first block is one row; each next one takes as many rows (at most
+    ``_BLOCK``) as fit ``_BLOCK_CANDIDATES`` at the candidates per row the
+    last block returned, so only one block's pairs are held at once.
+    """
+    pts = graph.cloud.array
+    lo, size = 0, 1
+    while lo < len(rows):
+        sel = np.arange(lo, min(lo + size, len(rows)))
+        indptr, indices = graph.query(pts[rows[sel]], radius)
+        yield sel, indptr, indices
+        lo += len(sel)
+        size = min(_BLOCK, max(1, _BLOCK_CANDIDATES * len(sel) // max(1, len(indices))))
 
 
 def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -131,13 +170,12 @@ def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentLabeling:
     """Connected components of ``subset`` using only pairs with d <= threshold.
 
-    Any threshold works: pairs come from ``graph.balls``, a block of
-    members at a time, and each block's pairs are hooked onto the roots
-    found so far, so only one block's pairs are held at once.  The first
-    block is one member; each next one takes as many members (at most
-    ``_BLOCK``) as fit ``_BLOCK_CANDIDATES`` at the candidates per member
-    the last block returned.
+    Any finite threshold works: pairs come from ``query_blocks``, and each
+    block's pairs are hooked onto the roots found so far, so only one
+    block's pairs are held at once.
     """
+    if not math.isfinite(threshold):
+        raise ValueError("threshold must be finite")
     n = graph.n_points
     members = np.unique(np.asarray(subset, dtype=int))
     outside = members[(members < 0) | (members >= n)]
@@ -146,17 +184,11 @@ def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentL
     position = np.full(n, -1)
     position[members] = np.arange(len(members))
     lab = np.arange(len(members))
-    pts = graph.cloud.array
-    lo, size = 0, 1
-    while lo < len(members):
-        balls = graph.balls(pts[members[lo:lo + size]], threshold)
-        sizes = np.fromiter(map(len, balls), dtype=int, count=len(balls))
-        src = np.repeat(np.arange(lo, lo + len(balls)), sizes)
-        dst = position[np.concatenate(balls)]
+    for sel, indptr, indices in query_blocks(graph, members, threshold):
+        src = np.repeat(sel, np.diff(indptr))  # members[sel] sit at sel
+        dst = position[indices]
         later = dst > src  # each pair once; non-members are -1
         lab = _min_labels(len(members), lab[src[later]], lab[dst[later]])[lab]
-        lo += len(balls)
-        size = min(_BLOCK, max(1, _BLOCK_CANDIDATES * len(balls) // max(1, len(src))))
     roots = members[lab]
     return ComponentLabeling(dict(zip(members.tolist(), roots.tolist())),
                              len(np.unique(roots)))

@@ -6,16 +6,20 @@ generous threshold (10*eps by default: vertex neighborhoods are wide but
 well separated).  Edge clusters use the tighter 3*eps.  Each edge cluster
 must then touch exactly two vertex clusters within the link threshold;
 those two become the edge's endpoints.  Clusters come from
-``neighbors.components`` and incidence from ``NeighborhoodGraph.balls``,
-so every threshold is answered by the neighbourhood graph's one k-d tree.
+``neighbors.components`` and incidence from one pass of
+``neighbors.query_blocks`` over all edge-cluster members, so every
+threshold is answered by the neighbourhood graph's one radius query, in
+blocks of bounded size.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .core import AbstractGraph, DimensionLabels, PointCloud, Stratification
 from .dimension import ClassifierParams, classify_all
-from .neighbors import NeighborhoodGraph, build_graph, components
+from .neighbors import NeighborhoodGraph, build_graph, components, query_blocks
 
 
 class IncidenceError(ValueError):
@@ -65,24 +69,37 @@ def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
     link_threshold (default 3*eps) of any point of the edge cluster.
     Returns one sorted pair of vertex-cluster indices per edge cluster.
     Anything other than exactly two incident clusters raises
-    IncidenceError naming the edge cluster and the candidates found; two
-    edge clusters with the same pair raise ValueError.
+    IncidenceError naming the first such edge cluster and the candidates
+    found; two edge clusters with the same pair raise ValueError.
+
+    The members of all edge clusters are queried in one pass of
+    ``query_blocks``, and each block's hits are reduced to distinct
+    (edge cluster, vertex cluster) pairs.
     """
     if link_threshold is None:
         link_threshold = 3.0 * cloud.epsilon
-    pts = cloud.array
-    owner = np.full(len(pts), -1)
+    if not math.isfinite(link_threshold):
+        raise ValueError("link_threshold must be finite")
+    owner = np.full(len(cloud), -1)
     for v_id, cluster in enumerate(vertex_clusters):
         owner[list(cluster)] = v_id
-
-    incidence = []
-    for e_id, cluster in enumerate(edge_clusters):
-        near = graph.balls(pts[list(cluster)], link_threshold)
-        touched = set(owner[np.concatenate(near)].tolist()) if near else set()
-        touched.discard(-1)
-        if len(touched) != 2:
-            raise IncidenceError(e_id, touched)
-        incidence.append(tuple(sorted(touched)))
+    n_vertex = max(1, len(vertex_clusters))
+    members = np.concatenate([np.fromiter(c, dtype=int)
+                              for c in edge_clusters] + [np.empty(0, dtype=int)])
+    cluster_of = np.repeat(np.arange(len(edge_clusters)),
+                           [len(c) for c in edge_clusters])
+    hits = [np.empty(0, dtype=int)]
+    for sel, indptr, indices in query_blocks(graph, members, link_threshold):
+        e_id = np.repeat(cluster_of[sel], np.diff(indptr))
+        v_id = owner[indices]
+        near = v_id >= 0
+        hits.append(np.unique(e_id[near] * n_vertex + v_id[near]))
+    e_id, v_id = np.divmod(np.unique(np.concatenate(hits)), n_vertex)
+    counts = np.bincount(e_id, minlength=len(edge_clusters))
+    bad = np.flatnonzero(counts != 2)
+    if len(bad):
+        raise IncidenceError(bad[0], v_id[e_id == bad[0]].tolist())
+    incidence = [tuple(pair) for pair in v_id.reshape(-1, 2).tolist()]
     # rejects two edge clusters between the same pair of vertex clusters
     AbstractGraph(len(vertex_clusters), incidence)
     return incidence

@@ -259,8 +259,9 @@ def test_criterion_06_oracle_equivalences():
     pts = rng.uniform(0.0, 1.0, (2000, 3))
     radius = 0.08
     graph = build_graph(PointCloud(pts, EPS), radius)
-    mine = {(i, int(j)) for i, nbrs in enumerate(graph.adjacency)
-            for j in nbrs if i < j}
+    rows = np.repeat(np.arange(graph.n_points), np.diff(graph.indptr))
+    mine = {(i, j) for i, j in zip(rows.tolist(), graph.indices.tolist())
+            if i < j}
     d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     iu, ju = np.triu_indices(len(pts), k=1)
     mask = d2[iu, ju] <= radius * radius

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from stratograph import (AbstractGraph, DimensionLabels, EmbeddedGraph,
-                         PointCloud, Stratification, validate_cloud)
+                         PointCloud, Stratification, ValidationReport,
+                         validate_cloud)
 
 
 def test_cloud_basic_accessors():
@@ -44,6 +45,72 @@ def test_validate_cloud_duplicates_are_warnings_not_findings():
     report = validate_cloud(cloud)
     assert report.valid
     assert any("duplicate" in w for w in report.warnings)
+
+
+def validate_per_point(cloud):
+    """Reference: every point checked on its own, in index order."""
+    findings = []
+    warnings = []
+    if not np.isfinite(cloud.epsilon) or cloud.epsilon <= 0.0:
+        findings.append("epsilon must be positive")
+    if len(cloud) == 0:
+        findings.append("point cloud is empty")
+    for i, p in enumerate(cloud.points):
+        if len(p) != cloud.ambient_dim:
+            findings.append(
+                f"point {i} has {len(p)} coordinates, expected {cloud.ambient_dim}")
+        elif not np.all(np.isfinite(p)):
+            findings.append(f"non-finite coordinate at index {i}")
+    if not findings and len(cloud) > 1:
+        arr = np.array(cloud.points)
+        order = np.lexsort(arr.T)
+        same = np.all(arr[order][1:] == arr[order][:-1], axis=1)
+        for k in np.nonzero(same)[0]:
+            warnings.append(
+                f"duplicate point: indices {order[k]} and {order[k + 1]}")
+    return ValidationReport(tuple(findings), tuple(warnings))
+
+
+NAN, INF = float("nan"), float("inf")
+MIXED = [(0, 0), (1,), (2, 0, 0), (NAN, 1), (1, -INF), (0, 0), (3, 3),
+         (NAN, INF, 0), (), (1, 1)]
+
+
+@pytest.mark.parametrize("points,epsilon,ambient_dim", [
+    (MIXED, 0.1, None),
+    (MIXED, 0.1, 3),
+    (MIXED, NAN, None),
+    ([(0, 0), (1, 1), (0, 0), (1, 1), (0, 0)], 0.1, None),
+    ([(0, 0), (1, 1), (0, 0)], -1.0, None),
+    ([(2.0, 1.0, 0.5)], 0.1, None),
+    ([], 0.1, None),
+    ([], 0.0, 2),
+    (np.random.default_rng(0).integers(0, 4, (300, 2)), 0.1, None),
+])
+def test_validate_cloud_matches_per_point_reference(points, epsilon, ambient_dim):
+    cloud = PointCloud(points, epsilon, ambient_dim)
+    report = validate_cloud(cloud)
+    assert report == validate_per_point(cloud)
+    if report.valid:
+        want = np.array(cloud.points, dtype=float).reshape(len(cloud), cloud.ambient_dim)
+        assert cloud.array.shape == want.shape
+        assert np.array_equal(cloud.array, want)
+    else:
+        with pytest.raises(ValueError, match=report.findings[0]):
+            cloud.array
+
+
+def test_validate_cloud_mixed_rows_in_index_order():
+    report = validate_cloud(PointCloud(MIXED, 0.1))
+    assert report.findings == (
+        "point 1 has 1 coordinates, expected 2",
+        "point 2 has 3 coordinates, expected 2",
+        "non-finite coordinate at index 3",
+        "non-finite coordinate at index 4",
+        "point 7 has 3 coordinates, expected 2",
+        "point 8 has 0 coordinates, expected 2",
+    )
+    assert report.warnings == ()
 
 
 def test_abstract_graph_normalizes_and_validates():

@@ -1,0 +1,22 @@
+"""Every script under demos/ runs to completion without a warning."""
+import runpy
+import warnings
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert len(DEMOS) >= 6
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
+def test_demo_runs(path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.argv", [str(path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runpy.run_path(str(path), run_name="__main__")
+    out = capsys.readouterr().out
+    assert out.strip()

@@ -36,6 +36,17 @@ def test_params_defaults_and_validation():
         ClassifierParams.from_epsilon(0.1, local_radius=-1.0)
 
 
+RADII = ("local_radius", "annulus_inner", "annulus_outer",
+         "ball_edge_threshold", "annulus_edge_threshold")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.2])
+@pytest.mark.parametrize("name", RADII)
+def test_params_reject_non_finite_or_non_positive_radii(name, value):
+    with pytest.raises(ValueError):
+        ClassifierParams.from_epsilon(0.1, **{name: value})
+
+
 def test_annulus_width_matches_operating_values():
     p = ClassifierParams.from_epsilon(0.25)
     assert p.annulus_outer - p.annulus_inner == pytest.approx(2.0 * 0.25)
@@ -162,12 +173,19 @@ def assert_matches_classify_point(cloud, params):
     assert batched.tolist() == single
 
 
+def shuffled(cloud, seed=0):
+    perm = np.random.default_rng(seed).permutation(len(cloud))
+    return PointCloud(cloud.array[perm], cloud.epsilon)
+
+
 def test_classify_all_matches_classify_point():
     params = ClassifierParams.from_epsilon(EPS)
     for cloud in (star_cloud(EPS, arms=3, arm_steps=15),
                   five_vertex_cloud(EMBED_2D, spacing=EPS / 5),
                   five_vertex_cloud(EMBED_3D, spacing=EPS / 5),
                   parallel_strands(),
+                  # samples in random order: blocks follow the tree, not indices
+                  shuffled(five_vertex_cloud(EMBED_3D)),
                   # samples 5 eps apart: the neighbourhood graph has no edges
                   PointCloud([(5.0 * EPS * k, 0.0) for k in range(6)], EPS)):
         assert_matches_classify_point(cloud, params)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stratograph import PointCloud, build_graph, components
+from stratograph.neighbors import _BLOCK, _QUERY_ROWS, query_blocks
 
 # A pair at exactly r = TIE_RADIUS: the einsum predicate sq <= r*r holds,
 # but scipy's cKDTree asked at exactly r misses it, so only the query's
@@ -12,6 +13,19 @@ from stratograph import PointCloud, build_graph, components
 TIE_PAIR = [[0.6194215518255555, 0.12095190401237166, -0.423157571137579],
             [-0.1742073146382146, 0.6362419419418208, 0.253012924839507]]
 TIE_RADIUS = 1.1630034997814065
+
+
+def row(g, i):
+    """Neighbours of sample i in the graph's CSR rows."""
+    return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
+
+
+def balls(g, qs, radius):
+    """One list of cloud indices per query row, from the CSR query."""
+    indptr, indices = g.query(qs, radius)
+    assert np.all(np.diff(indptr) >= 0) and indptr[0] == 0
+    assert indptr[-1] == len(indices)
+    return [indices[a:b].tolist() for a, b in zip(indptr[:-1], indptr[1:])]
 
 
 def brute_adjacency(pts, r):
@@ -54,32 +68,32 @@ def bfs_partition(adjacency, subset, pts, max_edge):
 def test_build_graph_spec_example():
     cloud = PointCloud([(0, 0), (0.2, 0), (1, 0)], 0.1)
     g = build_graph(cloud, 0.3)
-    assert g.adjacency[0].tolist() == [1]
-    assert g.adjacency[1].tolist() == [0]
-    assert g.adjacency[2].tolist() == []
+    assert row(g, 0) == [1]
+    assert row(g, 1) == [0]
+    assert row(g, 2) == []
 
 
 def test_build_graph_empty_below_min_distance():
     cloud = PointCloud([(0, 0), (1, 0), (0, 1)], 0.1)
     g = build_graph(cloud, 0.5)
-    assert all(len(a) == 0 for a in g.adjacency)
+    assert g.indptr.tolist() == [0, 0, 0, 0] and len(g.indices) == 0
 
 
 def test_build_graph_tie_at_radius_included():
     cloud = PointCloud([(0, 0), (0.3, 0)], 0.1)
     g = build_graph(cloud, 0.3)
-    assert g.adjacency[0].tolist() == [1]
+    assert row(g, 0) == [1]
 
 
 def test_build_graph_tie_lost_by_tree_arithmetic_included():
     g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS)
-    assert g.adjacency[0].tolist() == [1]
+    assert row(g, 0) == [1]
 
 
 def test_build_graph_duplicates_adjacent():
     cloud = PointCloud([(1, 1), (1, 1)], 0.1)
     g = build_graph(cloud, 0.05)
-    assert g.adjacency[0].tolist() == [1]
+    assert row(g, 0) == [1]
 
 
 def test_build_graph_matches_allpairs_oracle():
@@ -89,7 +103,7 @@ def test_build_graph_matches_allpairs_oracle():
     g = build_graph(cloud, 0.1)
     oracle = brute_adjacency(pts, 0.1)
     for i in range(len(pts)):
-        assert set(g.adjacency[i].tolist()) == oracle[i]
+        assert row(g, i) == sorted(oracle[i])
 
 
 def test_build_graph_oracle_3d_2000_points():
@@ -99,7 +113,7 @@ def test_build_graph_oracle_3d_2000_points():
     g = build_graph(cloud, 0.15)
     oracle = brute_adjacency(pts, 0.15)
     for i in range(len(pts)):
-        assert set(g.adjacency[i].tolist()) == oracle[i]
+        assert row(g, i) == sorted(oracle[i])
 
 
 def test_components_chain_examples():
@@ -125,7 +139,7 @@ def test_components_threshold_above_radius_matches_bfs_oracle():
 
 def test_components_tie_above_radius_included():
     g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS / 4)
-    assert g.adjacency[0].tolist() == []
+    assert row(g, 0) == []
     assert components(g, [0, 1], TIE_RADIUS).component_count == 1
     below = np.nextafter(TIE_RADIUS, 0.0)
     assert components(g, [0, 1], below).component_count == 2
@@ -190,18 +204,18 @@ def test_components_refinement_property():
 
 def test_radius_neighbors_zero_radius_duplicates():
     g = build_graph(PointCloud([(0, 0), (0, 0), (1, 0)], 0.1), 0.5)
-    assert g.balls([(0, 0)], 0.0)[0].tolist() == [0, 1]
+    assert balls(g, [(0, 0)], 0.0)[0] == [0, 1]
 
 
 def test_radius_neighbors_empty_when_far():
     g = build_graph(PointCloud([(0.5, 0)], 0.1), 0.3)
-    assert g.balls([(0, 0)], 0.4)[0].tolist() == []
+    assert balls(g, [(0, 0)], 0.4)[0] == []
 
 
 def test_radius_neighbors_dimension_mismatch():
     g = build_graph(PointCloud([(0, 0)], 0.1), 0.3)
     with pytest.raises(ValueError):
-        g.balls([(0, 0, 0)], 0.5)
+        g.query([(0, 0, 0)], 0.5)
 
 
 def test_radius_neighbors_matches_linear_scan():
@@ -210,22 +224,104 @@ def test_radius_neighbors_matches_linear_scan():
     g = build_graph(PointCloud(pts, 0.1), 0.03)
     qs = rng.uniform(0, 1, (50, 3))
     for radius in (0.07, 0.2):
-        for q, got in zip(qs, g.balls(qs, radius)):
+        for q, got in zip(qs, balls(g, qs, radius)):
             diff = pts - q
             sq = np.einsum("ij,ij->i", diff, diff)
-            assert got.tolist() == np.nonzero(sq <= radius * radius)[0].tolist()
+            assert got == np.nonzero(sq <= radius * radius)[0].tolist()
 
 
 def test_query_many_agrees_with_single_queries():
-    # 80 queries span more than one block of tree calls
+    # the queries span more than two blocks of tree calls
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 1, (400, 2))
     g = build_graph(PointCloud(pts, 0.1), 0.05)
-    qs = rng.uniform(-0.1, 1.1, (80, 2))
-    batched = g.balls(qs, 0.12)
+    qs = rng.uniform(-0.1, 1.1, (2 * _QUERY_ROWS + 37, 2))
+    batched = balls(g, qs, 0.12)
     assert len(batched) == len(qs)
     for q, got in zip(qs, batched):
-        assert got.tolist() == g.balls([q], 0.12)[0].tolist()
+        assert got == balls(g, [q], 0.12)[0]
+
+
+@pytest.mark.parametrize("dim,n,seed", [(2, 600, 31), (3, 900, 37)])
+def test_query_csr_matches_allpairs_oracle(dim, n, seed):
+    # the query over the whole cloud spans several blocks of rows; each
+    # row holds the point itself and its oracle neighbours, ascending
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0, 1, (n, dim))
+    for radius in (0.02, 0.07, 0.15):
+        g = build_graph(PointCloud(pts, 0.1), radius)
+        oracle = brute_adjacency(pts, radius)
+        assert balls(g, pts, radius) == [sorted(oracle[i] | {i}) for i in range(n)]
+        assert [row(g, i) for i in range(n)] == [sorted(nb) for nb in oracle]
+        assert g.edge_count() == sum(map(len, oracle)) // 2
+
+
+def test_query_csr_tie_pair():
+    g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS)
+    assert g.indptr.tolist() == [0, 1, 2] and g.indices.tolist() == [1, 0]
+    assert balls(g, TIE_PAIR, TIE_RADIUS) == [[0, 1], [0, 1]]
+    assert balls(g, TIE_PAIR, np.nextafter(TIE_RADIUS, 0.0)) == [[0], [1]]
+
+
+def test_query_empty_and_negative_radius():
+    g = build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), 0.3)
+    assert balls(g, np.empty((0, 2)), 0.3) == []
+    assert balls(g, [(0, 0), (5, 5)], -1.0) == [[], []]
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf")])
+def test_query_rejects_non_finite_radius(radius):
+    g = build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        g.query([(0, 0)], radius)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -0.3])
+def test_build_graph_rejects_bad_radius(radius):
+    with pytest.raises(ValueError, match="finite and positive"):
+        build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), radius)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_components_rejects_non_finite_threshold(threshold):
+    g = build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), 0.3)
+    with pytest.raises(ValueError, match="finite"):
+        components(g, [0, 1], threshold)
+    with pytest.raises(ValueError, match="finite"):
+        components(g, [], threshold)
+
+
+def test_build_graph_memory_bounded_by_query_blocks():
+    # about 80 neighbours per point: a single tree call over all rows
+    # holds every candidate pair with its coordinate differences, and
+    # peaks above six times the CSR it returns; blocks of rows, with the
+    # self column dropped afterwards, stay under three times it
+    rng = np.random.default_rng(29)
+    cloud = PointCloud(rng.uniform(0, 1, (4000, 3)), 0.01)
+    cloud.array
+    tracemalloc.start()
+    try:
+        g = build_graph(cloud, 0.18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.edge_count() > 150_000
+    assert peak < 3 * (g.indptr.nbytes + g.indices.nbytes)
+
+
+def test_query_blocks_cover_rows_once_in_order():
+    rng = np.random.default_rng(41)
+    pts = rng.uniform(0, 1, (500, 2))
+    g = build_graph(PointCloud(pts, 0.1), 0.05)
+    rows = rng.permutation(500)[:300]
+    walked = []
+    for sel, indptr, indices in query_blocks(g, rows, 0.1):
+        assert 1 <= len(sel) <= _BLOCK
+        want_ptr, want_idx = g.query(pts[rows[sel]], 0.1)
+        assert indptr.tolist() == want_ptr.tolist()
+        assert indices.tolist() == want_idx.tolist()
+        walked += sel.tolist()
+    assert walked == list(range(300))
 
 
 def test_subset_components_with_and_without_index_agree():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stratograph import (DimensionLabels, IncidenceError, PointCloud,
+from stratograph import (AbstractGraph, DimensionLabels, IncidenceError, PointCloud,
                          build_graph, classify_all, cluster_edges,
                          cluster_vertices, assign_incidence,
                          reconstruct_structure, sample_graph, SampleOptions,
@@ -125,6 +125,116 @@ def test_assign_incidence_respects_link_threshold():
     with pytest.raises(IncidenceError):
         assign_incidence(cloud, graph, vertex_clusters, edge_clusters,
                          link_threshold=0.05)
+
+
+def incidence_per_cluster(cloud, graph, vertex_clusters, edge_clusters,
+                          link_threshold=None):
+    """Reference: one radius query and one set of touched vertex clusters
+    per edge cluster, in order; the first cluster that does not touch
+    exactly two raises."""
+    if link_threshold is None:
+        link_threshold = 3.0 * cloud.epsilon
+    pts = cloud.array
+    owner = np.full(len(pts), -1)
+    for v_id, cluster in enumerate(vertex_clusters):
+        owner[list(cluster)] = v_id
+    incidence = []
+    for e_id, cluster in enumerate(edge_clusters):
+        _, near = graph.query(pts[list(cluster)], link_threshold)
+        touched = set(owner[near].tolist()) - {-1}
+        if len(touched) != 2:
+            raise IncidenceError(e_id, touched)
+        incidence.append(tuple(sorted(touched)))
+    AbstractGraph(len(vertex_clusters), incidence)
+    return incidence
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except IncidenceError as err:
+        return ("IncidenceError", err.edge_cluster, err.candidates, str(err))
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def test_assign_incidence_matches_per_cluster_reference(truth_2d, truth_3d):
+    # passing clouds, link thresholds that break incidence (too short:
+    # clusters touch fewer than two; too long: more than two); the edge
+    # clusters' members span several query blocks, which straddle clusters
+    seen = set()
+    for truth, opts in ((truth_2d, SampleOptions(seed=4)),
+                        (truth_3d, SampleOptions(seed=6)),
+                        (truth_2d, SampleOptions(seed=7, spacing=EPS / 5))):
+        cloud = sample_graph(truth, EPS, opts)
+        graph = build_graph(cloud, 3.0 * EPS)
+        labels = classify_all(cloud, graph)
+        vc = cluster_vertices(cloud, graph, labels)
+        ec = cluster_edges(cloud, graph, labels)
+        assert sum(map(len, ec)) > 2 * 64
+        for link in (None, 0.02, 0.08, 1.0, 2.0, 8.0):
+            got = outcome(assign_incidence, cloud, graph, vc, ec, link)
+            assert got == outcome(incidence_per_cluster, cloud, graph, vc, ec, link)
+            seen.add(got[0] if isinstance(got, tuple) else "ok")
+        # edge clusters in reverse order, and one cluster dropped
+        for edges in (ec[::-1], ec[1:]):
+            got = outcome(assign_incidence, cloud, graph, vc, edges)
+            assert got == outcome(incidence_per_cluster, cloud, graph, vc, edges)
+    assert seen == {"ok", "IncidenceError"}
+
+
+def test_assign_incidence_errors_match_per_cluster_reference():
+    seg = [(0.1 * k, 0.0) for k in range(31)]
+    strand_a = [(0.1 * k, 0.1) for k in range(1, 30)]
+    strand_b = [(0.1 * k, -0.1) for k in range(1, 30)]
+    cases = [
+        # duplicate edge: both strands run between the same two clusters
+        (PointCloud([(0.0, 0.0), (3.0, 0.0)] + strand_a + strand_b, EPS),
+         [[0], [1]], [list(range(2, 31)), list(range(31, 60))]),
+        # the second cluster fails first: the first is fine
+        (PointCloud(seg, EPS), [[0], [15], [22], [30]],
+         [list(range(1, 15)), [k for k in range(16, 30) if k != 22]]),
+        # an empty edge cluster touches nothing
+        (PointCloud(seg, EPS), [[0], [30]], [list(range(1, 30)), []]),
+        # no vertex clusters at all
+        (PointCloud(seg, EPS), [], [list(range(1, 30))]),
+        # no edge clusters
+        (PointCloud(seg, EPS), [[0], [30]], []),
+        # clusters given as sets: one passing, then the second failing
+        (PointCloud(seg, EPS), [{0}, {30}], [set(range(1, 30))]),
+        (PointCloud(seg, EPS), [{0}, {15}, {22}, {30}],
+         [set(range(1, 15)), {k for k in range(16, 30) if k != 22}]),
+    ]
+    got = []
+    for cloud, vc, ec in cases:
+        graph = build_graph(cloud, 3.0 * EPS)
+        got.append(outcome(assign_incidence, cloud, graph, vc, ec))
+        assert got[-1] == outcome(incidence_per_cluster, cloud, graph, vc, ec)
+    assert got[0][0] == "ValueError" and "duplicate edge" in got[0][1]
+    assert got[1][:3] == ("IncidenceError", 1, (1, 2, 3))
+    assert got[2][:3] == ("IncidenceError", 1, ())
+    assert got[3][:3] == ("IncidenceError", 0, ())
+    assert got[4] == []
+    assert got[5] == [(0, 1)]
+    assert got[6] == got[1]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_thresholds_rejected(value):
+    seg = [(0.1 * k, 0.0) for k in range(31)]
+    cloud = PointCloud(seg, EPS)
+    graph = build_graph(cloud, 3.0 * EPS)
+    labels = DimensionLabels([0] + [1] * 29 + [0])
+    with pytest.raises(ValueError, match="finite"):
+        cluster_vertices(cloud, graph, labels, threshold=value)
+    with pytest.raises(ValueError, match="finite"):
+        cluster_vertices(cloud, graph, DimensionLabels([1] * 31), threshold=value)
+    with pytest.raises(ValueError, match="finite"):
+        cluster_edges(cloud, graph, labels, threshold=value)
+    with pytest.raises(ValueError, match="finite") as info:
+        assign_incidence(cloud, graph, [[0], [30]], [list(range(1, 30))],
+                         link_threshold=value)
+    assert not isinstance(info.value, IncidenceError)
 
 
 def test_reconstruct_structure_five_vertex_graph(truth_2d, five_vertex_graph):
