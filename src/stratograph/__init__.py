@@ -24,15 +24,15 @@ stages on files.
 
 from .core import (AbstractGraph, DimensionLabels, EmbeddedGraph, PointCloud,
                    Stratification, ValidationReport, validate_cloud)
-from .dimension import ClassifierParams, angle_test, classify_all, classify_point
-from .fit import (BiasReport, FitProblem, FitResult, estimate_bias, fit,
-                  initialize, objective)
+from .dimension import ClassifierParams, angle_test, classify_all
+from .fit import FitProblem, FitResult, fit, initialize, objective
 from .geometry import dist_to_embedded_graph, project_to_segment
 from .io import (FormatError, read_cloud, read_embedded_graph, read_fit_result,
                  read_stratification, write_cloud, write_embedded_graph,
                  write_fit_result, write_report, write_stratification)
-from .metrics import (UnsupportedGraphSize, graph_isomorphic, hausdorff,
-                      iter_isomorphisms, vertex_error)
+from .metrics import (BiasReport, UnsupportedGraphSize, estimate_bias,
+                      graph_isomorphic, hausdorff, iter_isomorphisms,
+                      vertex_error)
 from .neighbors import (ComponentLabeling, NeighborhoodGraph, build_graph,
                         components)
 from .sampler import (AssumptionReport, SampleOptions, check_assumptions,
@@ -48,7 +48,7 @@ __all__ = [
     "FitResult", "FormatError", "IncidenceError", "NeighborhoodGraph",
     "PointCloud", "SampleOptions", "Stratification", "UnsupportedGraphSize",
     "ValidationReport", "angle_test", "assign_incidence", "build_graph",
-    "check_assumptions", "classify_all", "classify_point", "cluster_edges",
+    "check_assumptions", "classify_all", "cluster_edges",
     "cluster_vertices", "components", "dist_to_embedded_graph",
     "estimate_bias", "fit", "graph_isomorphic", "hausdorff", "initialize",
     "iter_isomorphisms", "objective", "project_to_segment", "read_cloud",

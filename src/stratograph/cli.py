@@ -1,9 +1,17 @@
 """Command-line pipeline: generate, reconstruct, fit, evaluate, pipeline,
 emit-plot.
 
+Each stage command reads its input files and calls one stage helper,
+which writes the stage's artifact, prints one "wrote ..." line and
+returns the in-memory result.  ``pipeline`` chains the same helpers on
+in-memory objects and writes a manifest of artifact hashes.  It stops at
+the first stage that fails, with that stage's exit code: a sample that
+fails its d_H <= epsilon certificate stops it with exit 3, after
+cloud.json is written and before any later artifact or the manifest.
+
 Exit codes: 0 success, 1 bad options, 2 I/O or parse failure,
-3 reconstruction failure, 4 fit non-convergence.  Every error path prints
-a single line starting with "error:" to stderr.
+3 failed certification or reconstruction, 4 fit non-convergence.  Every
+error path prints a single line starting with "error:" to stderr.
 """
 from __future__ import annotations
 
@@ -14,14 +22,24 @@ import math
 import os
 import sys
 
-from .core import PointCloud
 from .fit import FitProblem, fit as run_fit
 from .io import (FormatError, read_cloud, read_embedded_graph, read_fit_result,
                  read_stratification, write_cloud, write_fit_result,
                  write_report, write_stratification)
 from .metrics import graph_isomorphic, vertex_error
 from .sampler import SampleOptions, sample_graph, validate_epsilon_sample
-from .stratify import IncidenceError, reconstruct_structure
+from .stratify import reconstruct_structure
+
+_ARTIFACTS = ("cloud.json", "stratification.json", "fit.json",
+              "evaluation.json", "plot.csv")
+
+
+class _StageError(Exception):
+    """A stage failed; ``main`` prints the message and exits with ``code``."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 def _err(msg: str) -> None:
@@ -42,109 +60,78 @@ def _count(n: int, singular: str, plural: str) -> str:
     return f"{n} {singular}" if n == 1 else f"{n} {plural}"
 
 
-def _cmd_generate(args) -> int:
-    try:
-        options = SampleOptions(noise_radius=args.noise, spacing=args.spacing,
-                                seed=args.seed).resolve(args.epsilon)
-    except ValueError as exc:
-        _err(str(exc))
-        return 1
-    graph = read_embedded_graph(args.graph)
-    cloud = sample_graph(graph, args.epsilon, options)
-    valid, estimate = validate_epsilon_sample(cloud, graph, args.epsilon)
-    write_cloud(cloud, args.out)
+def _sample_options(args) -> SampleOptions:
+    return SampleOptions(noise_radius=args.noise, spacing=args.spacing,
+                         seed=args.seed).resolve(args.epsilon)
+
+
+def _generate(graph, epsilon: float, options: SampleOptions, out: str):
+    """Sample ``graph``, write the cloud, and certify d_H <= epsilon."""
+    cloud = sample_graph(graph, epsilon, options)
+    valid, estimate = validate_epsilon_sample(cloud, graph, epsilon)
+    write_cloud(cloud, out)
     if not valid:
-        _err(f"generated sample failed certification (d_H estimate {estimate})")
-        return 3
-    print(f"wrote {args.out} ({len(cloud)} points), d_H ≤ {args.epsilon}: ok")
-    return 0
-
-
-def _load_cloud(path: str, epsilon: float | None) -> PointCloud:
-    cloud = read_cloud(path, epsilon=epsilon)
-    if epsilon is not None and cloud.epsilon != epsilon:
-        cloud = PointCloud(cloud.array, epsilon)
+        raise _StageError(
+            3, f"generated sample failed certification (d_H estimate {estimate})")
+    print(f"wrote {out} ({len(cloud)} points), d_H ≤ {epsilon}: ok")
     return cloud
 
 
-def _cmd_reconstruct(args) -> int:
-    cloud = _load_cloud(args.cloud, args.epsilon)
+def _reconstruct(cloud, out: str, vertex_threshold: float | None = None):
+    cloud.array  # an invalid cloud is bad input (exit 1), as in every stage
     try:
-        strat = reconstruct_structure(cloud, vertex_threshold=args.vertex_threshold)
-    except IncidenceError as exc:
-        _err(str(exc))
-        return 3
+        strat = reconstruct_structure(cloud, vertex_threshold=vertex_threshold)
     except ValueError as exc:
-        _err(f"reconstruction failed: {exc}")
-        return 3
-    write_stratification(strat, args.out)
-    print(f"wrote {args.out}: "
+        raise _StageError(3, f"reconstruction failed: {exc}") from exc
+    write_stratification(strat, out)
+    print(f"wrote {out}: "
           f"{_count(len(strat.vertex_clusters), 'vertex', 'vertices')}, "
           f"{_count(len(strat.edge_clusters), 'edge', 'edges')}")
-    return 0
+    return strat
 
 
-def _cmd_fit(args) -> int:
-    cloud = _load_cloud(args.cloud, args.epsilon)
-    strat = read_stratification(args.stratification)
+def _fit(cloud, strat, out: str):
+    """Fit vertex positions; the result is written even if not converged."""
     try:
         problem = FitProblem(cloud, strat)
     except ValueError as exc:
-        _err(f"stratification does not match the cloud: {exc}")
-        return 1
+        raise _StageError(
+            1, f"stratification does not match the cloud: {exc}") from exc
     result = run_fit(problem)
-    write_fit_result(result, args.out)
+    write_fit_result(result, out)
     if not result.converged:
-        _err(f"fit did not converge within {result.iterations} iterations")
-        return 4
-    print(f"wrote {args.out}: objective {result.objective:.6e}, "
+        raise _StageError(
+            4, f"fit did not converge within {result.iterations} iterations")
+    print(f"wrote {out}: objective {result.objective:.6e}, "
           f"{result.iterations} iterations")
-    return 0
+    return result
 
 
-def _load_fitted(path: str):
-    """A fitted model file: FitResult JSON or plain embedded-graph JSON."""
-    with open(path) as fh:
-        try:
-            keys = set(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if "thetas" in keys:
-        return read_fit_result(path).embedded_graph()
-    return read_embedded_graph(path)
-
-
-def _evaluation_report(fitted, truth) -> dict:
+def _evaluate(fitted, truth, cloud, out: str) -> dict:
+    """Score ``fitted`` against ``truth``; with a cloud, also the sample's
+    distance to the fitted model."""
     report = {"isomorphic": False, "max_vertex_error": None,
               "mean_vertex_error": None, "hausdorff_sample_to_model": None}
     if graph_isomorphic(fitted.graph, truth.graph) is not None:
         max_err, mean_err, _ = vertex_error(fitted, truth)
-        report["isomorphic"] = True
-        report["max_vertex_error"] = max_err
-        report["mean_vertex_error"] = mean_err
-    return report
-
-
-def _cmd_evaluate(args) -> int:
-    fitted = _load_fitted(args.fitted)
-    truth = read_embedded_graph(args.truth)
-    report = _evaluation_report(fitted, truth)
-    if args.cloud is not None:
-        cloud = _load_cloud(args.cloud, args.epsilon)
+        report.update(isomorphic=True, max_vertex_error=max_err,
+                      mean_vertex_error=mean_err)
+    if cloud is not None:
         _, estimate = validate_epsilon_sample(cloud, fitted, cloud.epsilon)
         report["hausdorff_sample_to_model"] = estimate
-    write_report(report, args.out)
+    write_report(report, out)
     pieces = [f"isomorphic {str(report['isomorphic']).lower()}"]
     if report["isomorphic"]:
         pieces.append(f"max vertex error {report['max_vertex_error']:.6g}")
-    print(f"wrote {args.out}: " + ", ".join(pieces))
-    return 0
+    print(f"wrote {out}: " + ", ".join(pieces))
+    return report
 
 
-def _plot_rows(cloud: PointCloud, strat, fitted_positions) -> list:
+def _emit_plot(cloud, strat, fitted_positions, out: str) -> list:
+    """Plot-ready CSV: one row per sample with its cluster and label (when
+    ``strat`` is given), then one row per fitted vertex."""
     dim = cloud.array.shape[1]
-    header = "kind,cluster,dim," + ",".join(f"x{i}" for i in range(dim))
-    rows = [header]
+    rows = ["kind,cluster,dim," + ",".join(f"x{i}" for i in range(dim))]
     cluster_of = {}
     label_of = {}
     if strat is not None:
@@ -161,28 +148,61 @@ def _plot_rows(cloud: PointCloud, strat, fitted_positions) -> list:
         for j, p in enumerate(fitted_positions):
             coords = ",".join(repr(float(c)) for c in p)
             rows.append(f"vertex,v{j},0,{coords}")
+    os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    with open(out, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    print(f"wrote {out}: {len(rows) - 1} rows")
     return rows
 
 
-def _write_plot(rows: list, path: str):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("\n".join(rows) + "\n")
+def _load_fitted(path: str):
+    """A fitted model file: FitResult JSON or plain embedded-graph JSON."""
+    with open(path) as fh:
+        try:
+            keys = set(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if "thetas" in keys:
+        return read_fit_result(path).embedded_graph()
+    return read_embedded_graph(path)
+
+
+def _cmd_generate(args) -> int:
+    options = _sample_options(args)
+    _generate(read_embedded_graph(args.graph), args.epsilon, options, args.out)
+    return 0
+
+
+def _cmd_reconstruct(args) -> int:
+    cloud = read_cloud(args.cloud, epsilon=args.epsilon)
+    _reconstruct(cloud, args.out, args.vertex_threshold)
+    return 0
+
+
+def _cmd_fit(args) -> int:
+    cloud = read_cloud(args.cloud, epsilon=args.epsilon)
+    _fit(cloud, read_stratification(args.stratification), args.out)
+    return 0
+
+
+def _cmd_evaluate(args) -> int:
+    fitted = _load_fitted(args.fitted)
+    truth = read_embedded_graph(args.truth)
+    cloud = (read_cloud(args.cloud, epsilon=args.epsilon)
+             if args.cloud is not None else None)
+    _evaluate(fitted, truth, cloud, args.out)
+    return 0
 
 
 def _cmd_emit_plot(args) -> int:
     if args.stratification is None and args.fitted is None:
-        _err("emit-plot needs --stratification or --fitted (or both)")
-        return 1
-    cloud = _load_cloud(args.cloud, args.epsilon)
+        raise _StageError(1, "emit-plot needs --stratification or --fitted (or both)")
+    cloud = read_cloud(args.cloud, epsilon=args.epsilon)
     strat = (read_stratification(args.stratification)
              if args.stratification is not None else None)
     positions = (_load_fitted(args.fitted).vertex_positions
                  if args.fitted is not None else None)
-    rows = _plot_rows(cloud, strat, positions)
-    _write_plot(rows, args.out)
-    print(f"wrote {args.out}: {len(rows) - 1} rows")
+    _emit_plot(cloud, strat, positions, args.out)
     return 0
 
 
@@ -198,66 +218,25 @@ def _cmd_pipeline(args) -> int:
     out = args.out_dir
     os.makedirs(out, exist_ok=True)
     graph = read_embedded_graph(args.graph)
-    try:
-        options = SampleOptions(noise_radius=args.noise, spacing=args.spacing,
-                                seed=args.seed).resolve(args.epsilon)
-    except ValueError as exc:
-        _err(str(exc))
-        return 1
+    options = _sample_options(args)
+    path = {name: os.path.join(out, name) for name in _ARTIFACTS + ("manifest.json",)}
 
-    cloud_path = os.path.join(out, "cloud.json")
-    cloud = sample_graph(graph, args.epsilon, options)
-    valid, estimate = validate_epsilon_sample(cloud, graph, args.epsilon)
-    write_cloud(cloud, cloud_path)
-    print(f"wrote {cloud_path} ({len(cloud)} points), "
-          f"d_H ≤ {args.epsilon}: {'ok' if valid else 'FAILED'}")
+    cloud = _generate(graph, args.epsilon, options, path["cloud.json"])
+    strat = _reconstruct(cloud, path["stratification.json"])
+    result = _fit(cloud, strat, path["fit.json"])
+    _evaluate(result.embedded_graph(), graph, cloud, path["evaluation.json"])
+    _emit_plot(cloud, strat, result.vertex_positions, path["plot.csv"])
 
-    strat_path = os.path.join(out, "stratification.json")
-    try:
-        strat = reconstruct_structure(cloud)
-    except ValueError as exc:
-        _err(f"reconstruction failed: {exc}")
-        return 3
-    write_stratification(strat, strat_path)
-    print(f"wrote {strat_path}: "
-          f"{_count(len(strat.vertex_clusters), 'vertex', 'vertices')}, "
-          f"{_count(len(strat.edge_clusters), 'edge', 'edges')}")
-
-    fit_path = os.path.join(out, "fit.json")
-    result = run_fit(FitProblem(cloud, strat))
-    write_fit_result(result, fit_path)
-    print(f"wrote {fit_path}: objective {result.objective:.6e}, "
-          f"{result.iterations} iterations")
-    if not result.converged:
-        _err(f"fit did not converge within {result.iterations} iterations")
-        return 4
-
-    eval_path = os.path.join(out, "evaluation.json")
-    fitted = result.embedded_graph()
-    report = _evaluation_report(fitted, graph)
-    _, model_dist = validate_epsilon_sample(cloud, fitted, args.epsilon)
-    report["hausdorff_sample_to_model"] = model_dist
-    write_report(report, eval_path)
-    print(f"wrote {eval_path}: isomorphic {str(report['isomorphic']).lower()}")
-
-    plot_path = os.path.join(out, "plot.csv")
-    rows = _plot_rows(cloud, strat, result.vertex_positions)
-    _write_plot(rows, plot_path)
-    print(f"wrote {plot_path}: {len(rows) - 1} rows")
-
-    artifacts = ["cloud.json", "stratification.json", "fit.json",
-                 "evaluation.json", "plot.csv"]
     manifest = {"command": "pipeline",
                 "graph": os.path.basename(args.graph),
                 "epsilon": args.epsilon,
                 "noise": options.noise_radius,
                 "spacing": options.spacing,
                 "seed": args.seed,
-                "artifacts": [{"name": name,
-                               "sha256": _sha256(os.path.join(out, name))}
-                              for name in artifacts]}
-    write_report(manifest, os.path.join(out, "manifest.json"))
-    print(f"wrote {os.path.join(out, 'manifest.json')}")
+                "artifacts": [{"name": name, "sha256": _sha256(path[name])}
+                              for name in _ARTIFACTS]}
+    write_report(manifest, path["manifest.json"])
+    print(f"wrote {path['manifest.json']}")
     return 0
 
 
@@ -330,6 +309,9 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
+    except _StageError as exc:
+        _err(str(exc))
+        return exc.code
     except (FormatError, OSError) as exc:
         _err(str(exc))
         return 2

@@ -113,6 +113,9 @@ def _validate(cloud: PointCloud):
     if n == 0:
         findings.append("point cloud is empty")
         return ValidationReport(tuple(findings)), None
+    if cloud.ambient_dim < 1:
+        findings.append(f"points need at least one coordinate, "
+                        f"ambient_dim is {cloud.ambient_dim}")
     lens = np.fromiter(map(len, cloud.points), dtype=np.int64, count=n)
     flat = np.concatenate(cloud.points)
     nonfinite = np.bincount(np.repeat(np.arange(n), lens)[~np.isfinite(flat)],
@@ -300,21 +303,6 @@ class Stratification:
 
     def abstract_graph(self) -> AbstractGraph:
         return AbstractGraph(len(self.vertex_clusters), self.incidence)
-
-    def vertex_cluster_of(self) -> dict:
-        """Map point index -> vertex cluster index (dim-0 points only)."""
-        out = {}
-        for j, c in enumerate(self.vertex_clusters):
-            for i in c:
-                out[i] = j
-        return out
-
-    def edge_cluster_of(self) -> dict:
-        out = {}
-        for k, c in enumerate(self.edge_clusters):
-            for i in c:
-                out[i] = k
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Stratification):

@@ -12,15 +12,15 @@ For a query sample q the classifier inspects the samples within 10*eps
   (c) with exactly two components, the angle they span at q separates a
       straight edge from a sharp degree-2 corner.
 
-``classify_point`` evaluates (a), (b), (c) in that order on one ball and
-is the reference.  The label is 1 exactly when the ball test (a) or the
-annulus test (b)-(c) says 1, so the order of the two cannot change it.
-``classify_all`` therefore runs the annulus test first and the ball test
-only where the annulus gives 0; most samples on an edge never need the
-larger ball graph.  It classifies blocks of at most ``_BLOCK_MEMBERS``
-ball members, taking pairs from the neighbourhood graph's CSR rows:
-apart from one index and two flags per pair, its working set is bounded
-by one block.
+The label is 1 exactly when the ball test (a) or the annulus test
+(b)-(c) says 1, so the order of the two cannot change it.  The per-ball
+reference in ``tests/test_dimension.py`` evaluates (a), (b), (c) in that
+order on one ball; ``classify_all`` gives its label on every sample but
+runs the annulus test first and the ball test only where the annulus
+gives 0, so most samples on an edge never need the larger ball graph.
+It classifies blocks of at most ``_BLOCK_MEMBERS`` ball members, taking
+pairs from the neighbourhood graph's CSR rows: apart from one index and
+two flags per pair, its working set is bounded by one block.
 
 The angle test (c) runs batched over a block: centroids come from one
 sum per (ball, component), cosines and norms from one pass.  The batch
@@ -29,7 +29,7 @@ than a bound on the rounding in both its own arithmetic and
 ``angle_test``'s, and both centroid norms clear the degenerate limit by
 that bound; the bound grows with the component sizes, the coordinate
 magnitude and the inverse centroid norms.  Every other sample goes to
-``angle_test`` itself, so the labels are those of ``classify_point``.
+``angle_test`` itself, so the labels are those of the per-ball reference.
 
 All thresholds live in ``ClassifierParams`` so experiments can probe them;
 the defaults are the operating values above.
@@ -90,37 +90,6 @@ class ClassifierParams:
         return replace(params, **overrides) if overrides else params
 
 
-def _component_labels(points: np.ndarray, threshold: float):
-    """(count, labels) of the threshold graph on a small point set.
-
-    Labels are 0..count-1 in order of each component's smallest member.
-    Distances are squared pairwise differences so ties at exactly the
-    threshold connect, matching the neighborhood-graph predicate.
-    """
-    m = len(points)
-    if m == 0:
-        return 0, np.empty(0, dtype=int)
-    diff = points[:, None, :] - points[None, :, :]
-    sq = np.einsum("ijk,ijk->ij", diff, diff)
-    adj = sq <= threshold * threshold
-    labels = np.full(m, -1, dtype=int)
-    count = 0
-    for seed in range(m):
-        if labels[seed] >= 0:
-            continue
-        comp = adj[seed].copy()
-        frontier = comp
-        while True:
-            new = adj[frontier].any(axis=0) & ~comp
-            if not new.any():
-                break
-            comp |= new
-            frontier = new
-        labels[comp] = count
-        count += 1
-    return count, labels
-
-
 def angle_test(q, comp_a: np.ndarray, comp_b: np.ndarray,
                angle_threshold: float) -> int:
     """Angle at q spanned by the two component centroids: 0 if sharp.
@@ -141,41 +110,15 @@ def angle_test(q, comp_a: np.ndarray, comp_b: np.ndarray,
     return 0 if cos_angle > math.cos(angle_threshold) else 1
 
 
-def _classify_ball(q: np.ndarray, ball: np.ndarray,
-                   params: ClassifierParams) -> int:
-    n_ball, _ = _component_labels(ball, params.ball_edge_threshold)
-    if n_ball != 1:
-        return 1
-
-    dq = sq_dists(ball, q)
-    lo = params.annulus_inner * params.annulus_inner
-    hi = params.annulus_outer * params.annulus_outer
-    annulus = ball[(dq >= lo) & (dq <= hi)]
-
-    n_ann, labels = _component_labels(annulus, params.annulus_edge_threshold)
-    if n_ann != 2:
-        return 0
-    return angle_test(q, annulus[labels == 0], annulus[labels == 1],
-                      params.angle_threshold)
-
-
-def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
-                   params: ClassifierParams) -> int:
-    """Local dimension of one sample; always returns 0 or 1."""
-    pts = cloud.array
-    _, ball_idx = graph.query(pts[[q_index]], params.local_radius)
-    return _classify_ball(pts[q_index], pts[ball_idx], params)
-
-
 def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
     """The pairs i < j of the CSR ``nbrs = (indptr, indices)``, with their
     tests.
 
     Returns ``(indptr, indices, ann_ok, ball_ok)``: row i of ``indices``
     holds i's later neighbours, and ``ann_ok`` / ``ball_ok`` say whether
-    each pair lies within the annulus and ball edge thresholds.  Squared
-    distances are compared exactly as ``_component_labels`` compares them,
-    on differences taken ``_BLOCK_PAIRS`` pairs at a time.
+    each pair lies within the annulus and ball edge thresholds, a pair
+    exactly at a threshold included.  Squared distances of differences
+    are compared, ``_BLOCK_PAIRS`` pairs at a time.
     """
     n = len(pts)
     nbr_ptr, cols = nbrs
@@ -253,8 +196,8 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
     another, each in ascending point order, and a member's position in
     that layout is its node.  A pair from ``pairs`` is an edge of every
     ball holding both of its points.  Component roots are the smallest
-    positions, so the two annulus components come in the order
-    ``_component_labels`` gives.
+    positions, so the two annulus components come in the order of their
+    smallest members, as in the per-ball reference.
     """
     indptr, indices, ann_ok, ball_ok = pairs
     n = len(pts)
@@ -302,7 +245,7 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
 
 def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
                  params: ClassifierParams | None = None) -> DimensionLabels:
-    """Classify every sample; equal to ``classify_point`` on each index.
+    """Classify every sample with the per-ball tests (a), (b), (c).
 
     Samples are classified in blocks of at most ``_BLOCK_MEMBERS`` ball
     members (or one ball, if larger).  In each block the annulus test runs

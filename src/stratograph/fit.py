@@ -14,17 +14,14 @@ initial position and reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .core import AbstractGraph, EmbeddedGraph, PointCloud, Stratification
-from .geometry import project_many, project_to_segment
-from .metrics import vertex_error
-from .sampler import SampleOptions, check_assumptions, sample_graph
-from .stratify import reconstruct_structure
+from .geometry import project_many
 
-__all__ = ["FitProblem", "FitResult", "BiasReport", "objective", "initialize",
-           "fit", "estimate_bias", "project_to_segment"]
+__all__ = ["FitProblem", "FitResult", "objective", "initialize", "fit"]
 
 
 class FitProblem:
@@ -36,26 +33,28 @@ class FitProblem:
     """
 
     def __init__(self, cloud: PointCloud, stratification: Stratification):
-        n = len(cloud)
+        if stratification.n_points != len(cloud):
+            raise ValueError(f"the stratification covers {stratification.n_points} "
+                             f"points, the cloud has {len(cloud)}")
         self.cloud = cloud
         self.stratification = stratification
-        self.vertex_assignment = {}
-        self.edge_assignment = {}
-        for v_id, cluster in enumerate(stratification.vertex_clusters):
-            for i in cluster:
-                self.vertex_assignment[int(i)] = v_id
-        for e_id, cluster in enumerate(stratification.edge_clusters):
-            j1, j2 = stratification.incidence[e_id]
-            for i in cluster:
-                self.edge_assignment[int(i)] = (j1, j2)
-        if len(self.vertex_assignment) + len(self.edge_assignment) != n:
-            raise ValueError("assignments must cover every point exactly once")
-
-        self._d0 = np.array(sorted(self.vertex_assignment), dtype=int)
-        self._d0v = np.array([self.vertex_assignment[i] for i in self._d0], dtype=int)
-        self._d1 = np.array(sorted(self.edge_assignment), dtype=int)
-        self._e1 = np.array([self.edge_assignment[i][0] for i in self._d1], dtype=int)
-        self._e2 = np.array([self.edge_assignment[i][1] for i in self._d1], dtype=int)
+        # the clusters partition 0..n-1 (Stratification checks it), so one
+        # scatter gives every point its cluster id; vertex clusters come
+        # first.  The endpoint arrays are fancy-indexed copies: strided
+        # column views of ``ends`` made every fit iteration slower.
+        clusters = stratification.vertex_clusters + stratification.edge_clusters
+        sizes = np.fromiter(map(len, clusters), dtype=int, count=len(clusters))
+        members = np.fromiter(chain.from_iterable(clusters), dtype=int,
+                              count=len(cloud))
+        cluster = np.empty(len(cloud), dtype=int)
+        cluster[members] = np.repeat(np.arange(len(clusters)), sizes)
+        k = self.n_vertices
+        self._d0 = np.flatnonzero(cluster < k)
+        self._d0v = cluster[self._d0]
+        self._d1 = np.flatnonzero(cluster >= k)
+        ends = np.array(stratification.incidence, dtype=int).reshape(-1, 2)
+        edge = cluster[self._d1] - k
+        self._e1, self._e2 = ends[edge, 0], ends[edge, 1]
 
     @property
     def n_vertices(self) -> int:
@@ -243,83 +242,3 @@ def fit(problem: FitProblem, max_iters: int = 200, rel_tol: float = 1e-10,
     return FitResult(vertex_positions=x, thetas=t, objective_trace=tuple(trace),
                      iterations=iterations, converged=converged,
                      pinned=tuple(sorted(pinned_ever)), edges=edges)
-
-
-@dataclass(frozen=True)
-class BiasReport:
-    """Empirical per-vertex displacement of fitted positions from truth.
-
-    Vertices are indexed as in the true graph; displacement for a trial is
-    (fitted - true) under the best isomorphism of that trial.  Failures
-    (reconstruction or matching errors) are excluded and counted.
-    """
-    mean_displacement: np.ndarray
-    covariance: np.ndarray
-    per_trial: tuple
-    trials: int
-    failures: int
-    failure_messages: tuple
-    seed: int
-
-    def as_dict(self) -> dict:
-        return {"mean_displacement": [list(map(float, row))
-                                      for row in self.mean_displacement],
-                "covariance": [[list(map(float, row)) for row in block]
-                               for block in self.covariance],
-                "trials": self.trials,
-                "failures": self.failures,
-                "failure_messages": list(self.failure_messages),
-                "seed": self.seed}
-
-
-def _trial_seed(seed: int, trial: int) -> int:
-    return int(np.random.SeedSequence([int(seed), int(trial)]).generate_state(1)[0])
-
-
-def estimate_bias(true_graph: EmbeddedGraph, epsilon: float, trials: int,
-                  seed: int = 0, noise_radius: float | None = None,
-                  spacing: float | None = None) -> BiasReport:
-    """Sample, reconstruct, and fit `trials` times; report displacement stats.
-
-    Purely observational: the report quantifies drift, it does not correct
-    it.  Each trial derives its own seed from (seed, trial index), so a
-    longer run reproduces a shorter run's prefix exactly.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not check_assumptions(true_graph, epsilon).passed:
-        raise ValueError("true_graph violates the geometric assumptions")
-    k = true_graph.graph.vertex_count
-    dim = true_graph.ambient_dim
-    per_trial = []
-    failures = []
-
-    for trial in range(trials):
-        opts = SampleOptions(noise_radius=noise_radius, spacing=spacing,
-                             seed=_trial_seed(seed, trial))
-        try:
-            cloud = sample_graph(true_graph, epsilon, opts)
-            strat = reconstruct_structure(cloud)
-            result = fit(FitProblem(cloud, strat))
-            fitted = result.embedded_graph()
-            _, _, mapping = vertex_error(fitted, true_graph)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            failures.append(f"trial {trial}: {exc}")
-            per_trial.append(None)
-            continue
-        disp = np.empty((k, dim))
-        for fitted_v, true_v in mapping.items():
-            disp[true_v] = fitted.vertex_positions[fitted_v] - true_graph.vertex_positions[true_v]
-        per_trial.append(disp)
-
-    ok = [d for d in per_trial if d is not None]
-    mean = np.mean(ok, axis=0) if ok else np.zeros((k, dim))
-    cov = np.zeros((k, dim, dim))
-    if len(ok) >= 2:
-        stack = np.stack(ok)
-        for v in range(k):
-            cov[v] = np.cov(stack[:, v, :].T, ddof=1).reshape(dim, dim)
-    return BiasReport(mean_displacement=mean, covariance=cov,
-                      per_trial=tuple(per_trial), trials=trials,
-                      failures=len(failures), failure_messages=tuple(failures),
-                      seed=int(seed))

@@ -1,13 +1,19 @@
 """Evaluation metrics: Hausdorff distance between finite point sets,
-abstract-graph isomorphism for small graphs, and vertex position error
-under the best matching isomorphism.
+abstract-graph isomorphism for small graphs, vertex position error under
+the best matching isomorphism, and the per-vertex bias of the whole
+pipeline over repeated noisy trials.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from .core import AbstractGraph, EmbeddedGraph
+from .fit import FitProblem, fit
+from .sampler import SampleOptions, check_assumptions, sample_graph
+from .stratify import reconstruct_structure
 
 _MAX_ISO_VERTICES = 12
 
@@ -123,3 +129,83 @@ def vertex_error(fitted: EmbeddedGraph, truth: EmbeddedGraph):
         raise ValueError("graphs are not isomorphic")
     (max_err, mean_err), mapping = best
     return max_err, mean_err, {v: mapping[v] for v in range(len(mapping))}
+
+
+@dataclass(frozen=True)
+class BiasReport:
+    """Empirical per-vertex displacement of fitted positions from truth.
+
+    Vertices are indexed as in the true graph; displacement for a trial is
+    (fitted - true) under the best isomorphism of that trial.  Failures
+    (reconstruction or matching errors) are excluded and counted.
+    """
+    mean_displacement: np.ndarray
+    covariance: np.ndarray
+    per_trial: tuple
+    trials: int
+    failures: int
+    failure_messages: tuple
+    seed: int
+
+    def as_dict(self) -> dict:
+        return {"mean_displacement": [list(map(float, row))
+                                      for row in self.mean_displacement],
+                "covariance": [[list(map(float, row)) for row in block]
+                               for block in self.covariance],
+                "trials": self.trials,
+                "failures": self.failures,
+                "failure_messages": list(self.failure_messages),
+                "seed": self.seed}
+
+
+def _trial_seed(seed: int, trial: int) -> int:
+    return int(np.random.SeedSequence([int(seed), int(trial)]).generate_state(1)[0])
+
+
+def estimate_bias(true_graph: EmbeddedGraph, epsilon: float, trials: int,
+                  seed: int = 0, noise_radius: float | None = None,
+                  spacing: float | None = None) -> BiasReport:
+    """Sample, reconstruct, and fit `trials` times; report displacement stats.
+
+    Purely observational: the report quantifies drift, it does not correct
+    it.  Each trial derives its own seed from (seed, trial index), so a
+    longer run reproduces a shorter run's prefix exactly.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if not check_assumptions(true_graph, epsilon).passed:
+        raise ValueError("true_graph violates the geometric assumptions")
+    k = true_graph.graph.vertex_count
+    dim = true_graph.ambient_dim
+    per_trial = []
+    failures = []
+
+    for trial in range(trials):
+        opts = SampleOptions(noise_radius=noise_radius, spacing=spacing,
+                             seed=_trial_seed(seed, trial))
+        try:
+            cloud = sample_graph(true_graph, epsilon, opts)
+            strat = reconstruct_structure(cloud)
+            result = fit(FitProblem(cloud, strat))
+            fitted = result.embedded_graph()
+            _, _, mapping = vertex_error(fitted, true_graph)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            failures.append(f"trial {trial}: {exc}")
+            per_trial.append(None)
+            continue
+        disp = np.empty((k, dim))
+        for fitted_v, true_v in mapping.items():
+            disp[true_v] = fitted.vertex_positions[fitted_v] - true_graph.vertex_positions[true_v]
+        per_trial.append(disp)
+
+    ok = [d for d in per_trial if d is not None]
+    mean = np.mean(ok, axis=0) if ok else np.zeros((k, dim))
+    cov = np.zeros((k, dim, dim))
+    if len(ok) >= 2:
+        stack = np.stack(ok)
+        for v in range(k):
+            cov[v] = np.cov(stack[:, v, :].T, ddof=1).reshape(dim, dim)
+    return BiasReport(mean_displacement=mean, covariance=cov,
+                      per_trial=tuple(per_trial), trials=trials,
+                      failures=len(failures), failure_messages=tuple(failures),
+                      seed=int(seed))

@@ -219,6 +219,78 @@ def test_pipeline_manifest_and_determinism(tmp_path, graph_file, capsys):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_pipeline_prints_the_stage_lines(tmp_path, graph_file, capsys):
+    out = tmp_path / "run"
+    assert run(["pipeline", "--graph", graph_file, "--epsilon", EPS,
+                "--seed", 1, "--out-dir", out]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].split(" (")[0] for line in lines] == [
+        f"wrote {out / name}" for name in
+        ("cloud.json", "stratification.json", "fit.json", "evaluation.json",
+         "plot.csv", "manifest.json")]
+    assert lines[0].endswith("d_H ≤ 0.1: ok")
+    assert "isomorphic true, max vertex error " in lines[3]
+
+
+def test_uncertified_sample_stops_generate_and_pipeline(tmp_path, segment_file,
+                                                        capsys):
+    # noiseless sites 2 eps apart leave each midpoint exactly eps from the
+    # cloud, and the certificate's estimate lies above eps
+    options = ["--epsilon", EPS, "--noise", 0, "--spacing", 0.2]
+    cloud = tmp_path / "cloud.json"
+    assert run(["generate", "--graph", segment_file, *options,
+                "--out", cloud]) == 3
+    generated = capsys.readouterr()
+    out = tmp_path / "run"
+    assert run(["pipeline", "--graph", segment_file, *options,
+                "--out-dir", out]) == 3
+    piped = capsys.readouterr()
+    assert generated.err.startswith(
+        "error: generated sample failed certification (d_H estimate ")
+    assert len(generated.err.splitlines()) == 1
+    assert piped.err == generated.err
+    assert piped.out == generated.out == ""
+    assert sorted(os.listdir(out)) == ["cloud.json"]
+    assert (out / "cloud.json").read_bytes() == cloud.read_bytes()
+
+
+def test_failed_reconstruction_same_error_in_reconstruct_and_pipeline(tmp_path,
+                                                                      capsys):
+    # a 20-eps segment: too short for two vertex clusters
+    graph = tmp_path / "short.json"
+    graph.write_text(json.dumps({"vertices": [[0.0, 0.0], [2.0, 0.0]],
+                                 "edges": [[0, 1]]}))
+    cloud = tmp_path / "cloud.json"
+    assert run(["generate", "--graph", graph, "--epsilon", EPS, "--seed", 1,
+                "--out", cloud]) == 0
+    capsys.readouterr()
+    assert run(["reconstruct", "--cloud", cloud, "--epsilon", EPS,
+                "--out", tmp_path / "strat.json"]) == 3
+    reconstructed = capsys.readouterr()
+    out = tmp_path / "run"
+    assert run(["pipeline", "--graph", graph, "--epsilon", EPS, "--seed", 1,
+                "--out-dir", out]) == 3
+    piped = capsys.readouterr()
+    assert reconstructed.err.startswith("error: reconstruction failed: ")
+    assert len(reconstructed.err.splitlines()) == 1
+    assert piped.err == reconstructed.err
+    assert sorted(os.listdir(out)) == ["cloud.json"]
+
+
+@pytest.mark.parametrize("points", [[[], []], [[]]], ids=["two", "one"])
+def test_zero_coordinate_cloud_exits_1(tmp_path, capsys, points):
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(json.dumps({"epsilon": EPS, "points": points}))
+    out = tmp_path / "strat.json"
+    code = run(["reconstruct", "--cloud", cloud, "--epsilon", EPS, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(
+        "error: invalid point cloud: points need at least one coordinate")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_console_script_entry_point(tmp_path, graph_file):
     out = tmp_path / "cloud.json"
     # the child imports stratograph from wherever this process found it

@@ -55,6 +55,9 @@ def validate_per_point(cloud):
         findings.append("epsilon must be positive")
     if len(cloud) == 0:
         findings.append("point cloud is empty")
+    elif cloud.ambient_dim < 1:
+        findings.append(f"points need at least one coordinate, "
+                        f"ambient_dim is {cloud.ambient_dim}")
     for i, p in enumerate(cloud.points):
         if len(p) != cloud.ambient_dim:
             findings.append(
@@ -85,6 +88,9 @@ MIXED = [(0, 0), (1,), (2, 0, 0), (NAN, 1), (1, -INF), (0, 0), (3, 3),
     ([(2.0, 1.0, 0.5)], 0.1, None),
     ([], 0.1, None),
     ([], 0.0, 2),
+    ([(), ()], 0.1, None),
+    ([()], 0.1, None),
+    ([(), (1.0,)], 0.1, None),
     (np.random.default_rng(0).integers(0, 4, (300, 2)), 0.1, None),
 ])
 def test_validate_cloud_matches_per_point_reference(points, epsilon, ambient_dim):
@@ -163,9 +169,3 @@ def test_stratification_incidence_pairs_validated():
     with pytest.raises(ValueError):
         # self-pair
         Stratification([[0], [3]], [[1, 2]], [(0, 0)], n_points=4)
-
-
-def test_stratification_lookup_helpers():
-    s = Stratification([[0], [3]], [[1, 2]], [(0, 1)], n_points=4)
-    assert s.vertex_cluster_of() == {0: 0, 3: 1}
-    assert s.edge_cluster_of() == {1: 0, 2: 0}

@@ -6,12 +6,71 @@ import pytest
 
 import stratograph.dimension
 from stratograph import (AbstractGraph, ClassifierParams, EmbeddedGraph,
-                         PointCloud, SampleOptions, angle_test, build_graph,
-                         classify_all, classify_point, sample_graph)
-from stratograph.dimension import _component_labels
+                         NeighborhoodGraph, PointCloud, SampleOptions, angle_test,
+                         build_graph, classify_all, sample_graph)
 from stratograph.geometry import sq_dists
 from conftest import (EMBED_2D, EMBED_3D, EPS, FIVE_VERTEX_EDGES, corner_cloud,
                       line_cloud, star_cloud)
+
+
+# The per-ball reference classifier: tests (a), (b), (c) of
+# ``stratograph.dimension`` in that order on one ball.  ``classify_all``
+# must give its label on every sample.
+def _component_labels(points: np.ndarray, threshold: float):
+    """(count, labels) of the threshold graph on a small point set.
+
+    Labels are 0..count-1 in order of each component's smallest member.
+    Distances are squared pairwise differences so ties at exactly the
+    threshold connect, matching the neighborhood-graph predicate.
+    """
+    m = len(points)
+    if m == 0:
+        return 0, np.empty(0, dtype=int)
+    diff = points[:, None, :] - points[None, :, :]
+    sq = np.einsum("ijk,ijk->ij", diff, diff)
+    adj = sq <= threshold * threshold
+    labels = np.full(m, -1, dtype=int)
+    count = 0
+    for seed in range(m):
+        if labels[seed] >= 0:
+            continue
+        comp = adj[seed].copy()
+        frontier = comp
+        while True:
+            new = adj[frontier].any(axis=0) & ~comp
+            if not new.any():
+                break
+            comp |= new
+            frontier = new
+        labels[comp] = count
+        count += 1
+    return count, labels
+
+
+def _classify_ball(q: np.ndarray, ball: np.ndarray,
+                   params: ClassifierParams) -> int:
+    n_ball, _ = _component_labels(ball, params.ball_edge_threshold)
+    if n_ball != 1:
+        return 1
+
+    dq = sq_dists(ball, q)
+    lo = params.annulus_inner * params.annulus_inner
+    hi = params.annulus_outer * params.annulus_outer
+    annulus = ball[(dq >= lo) & (dq <= hi)]
+
+    n_ann, labels = _component_labels(annulus, params.annulus_edge_threshold)
+    if n_ann != 2:
+        return 0
+    return angle_test(q, annulus[labels == 0], annulus[labels == 1],
+                      params.angle_threshold)
+
+
+def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
+                   params: ClassifierParams) -> int:
+    """Local dimension of one sample; always returns 0 or 1."""
+    pts = cloud.array
+    _, ball_idx = graph.query(pts[[q_index]], params.local_radius)
+    return _classify_ball(pts[q_index], pts[ball_idx], params)
 
 
 def classify_cloud(cloud, params=None):

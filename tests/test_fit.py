@@ -30,13 +30,17 @@ def segment_problem(noise_radius=0.0, seed=0, length=4.0):
 def naive_objective(problem, x, t):
     """Per-point recomputation of the summed squared distances."""
     pts = problem.cloud.array
+    strat = problem.stratification
+    vertex_of = {i: j for j, c in enumerate(strat.vertex_clusters) for i in c}
+    ends_of = {i: strat.incidence[k] for k, c in enumerate(strat.edge_clusters)
+               for i in c}
     total = 0.0
     for i in range(len(pts)):
-        j = problem.vertex_assignment.get(i)
+        j = vertex_of.get(i)
         if j is not None:
             total += float(np.sum((pts[i] - x[j]) ** 2))
         else:
-            j1, j2 = problem.edge_assignment[i]
+            j1, j2 = ends_of[i]
             s = t[i] * x[j1] + (1.0 - t[i]) * x[j2]
             total += float(np.sum((pts[i] - s) ** 2))
     return total
