@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
 
 from .fit import FitProblem, fit as run_fit
-from .io import (FormatError, read_cloud, read_embedded_graph, read_fit_result,
+from .io import (FormatError, read_cloud, read_embedded_graph, read_fitted,
                  read_stratification, write_cloud, write_fit_result,
                  write_report, write_stratification)
 from .metrics import graph_isomorphic, vertex_error
@@ -90,14 +89,18 @@ def _reconstruct(cloud, out: str, vertex_threshold: float | None = None):
     return strat
 
 
+def _require_cover(cloud, strat) -> None:
+    """Exit 1 unless ``strat`` partitions exactly the points of ``cloud``."""
+    if strat.n_points != len(cloud):
+        raise _StageError(1, f"stratification does not match the cloud: the "
+                             f"stratification covers {strat.n_points} points, "
+                             f"the cloud has {len(cloud)}")
+
+
 def _fit(cloud, strat, out: str):
     """Fit vertex positions; the result is written even if not converged."""
-    try:
-        problem = FitProblem(cloud, strat)
-    except ValueError as exc:
-        raise _StageError(
-            1, f"stratification does not match the cloud: {exc}") from exc
-    result = run_fit(problem)
+    _require_cover(cloud, strat)
+    result = run_fit(FitProblem(cloud, strat))
     write_fit_result(result, out)
     if not result.converged:
         raise _StageError(
@@ -132,18 +135,15 @@ def _emit_plot(cloud, strat, fitted_positions, out: str) -> list:
     ``strat`` is given), then one row per fitted vertex."""
     dim = cloud.array.shape[1]
     rows = ["kind,cluster,dim," + ",".join(f"x{i}" for i in range(dim))]
-    cluster_of = {}
-    label_of = {}
+    cells = [","] * len(cloud)
     if strat is not None:
-        for j, c in enumerate(strat.vertex_clusters):
-            for i in c:
-                cluster_of[i], label_of[i] = f"v{j}", 0
-        for k, c in enumerate(strat.edge_clusters):
-            for i in c:
-                cluster_of[i], label_of[i] = f"e{k}", 1
-    for i, p in enumerate(cloud.array):
+        _require_cover(cloud, strat)
+        k = len(strat.vertex_clusters)
+        cells = [f"v{c},0" if c < k else f"e{c - k},1"
+                 for c in strat.cluster_of.tolist()]
+    for cell, p in zip(cells, cloud.array):
         coords = ",".join(repr(float(c)) for c in p)
-        rows.append(f"sample,{cluster_of.get(i, '')},{label_of.get(i, '')},{coords}")
+        rows.append(f"sample,{cell},{coords}")
     if fitted_positions is not None:
         for j, p in enumerate(fitted_positions):
             coords = ",".join(repr(float(c)) for c in p)
@@ -153,18 +153,6 @@ def _emit_plot(cloud, strat, fitted_positions, out: str) -> list:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {out}: {len(rows) - 1} rows")
     return rows
-
-
-def _load_fitted(path: str):
-    """A fitted model file: FitResult JSON or plain embedded-graph JSON."""
-    with open(path) as fh:
-        try:
-            keys = set(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON ({exc})") from exc
-    if "thetas" in keys:
-        return read_fit_result(path).embedded_graph()
-    return read_embedded_graph(path)
 
 
 def _cmd_generate(args) -> int:
@@ -186,7 +174,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    fitted = _load_fitted(args.fitted)
+    fitted = read_fitted(args.fitted)
     truth = read_embedded_graph(args.truth)
     cloud = (read_cloud(args.cloud, epsilon=args.epsilon)
              if args.cloud is not None else None)
@@ -200,7 +188,7 @@ def _cmd_emit_plot(args) -> int:
     cloud = read_cloud(args.cloud, epsilon=args.epsilon)
     strat = (read_stratification(args.stratification)
              if args.stratification is not None else None)
-    positions = (_load_fitted(args.fitted).vertex_positions
+    positions = (read_fitted(args.fitted).vertex_positions
                  if args.fitted is not None else None)
     _emit_plot(cloud, strat, positions, args.out)
     return 0

@@ -4,11 +4,13 @@ Values are immutable after construction (arrays are frozen), so they can be
 shared freely across threads.  ``PointCloud`` construction is deliberately
 permissive: malformed inputs are representable so that ``validate_cloud``
 can report what is wrong instead of crashing; pipeline operations require a
-valid cloud and raise otherwise.
+valid cloud and raise otherwise.  ``Stratification`` holds the sample
+partition, as cluster tuples and as one cluster id per point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,6 +19,14 @@ import numpy as np
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _equal_rows(arr: np.ndarray):
+    """Index pairs of equal rows that neighbour in a stable lexicographic order."""
+    order = np.lexsort(arr.T) if arr.shape[1] else np.arange(len(arr))
+    same = np.all(arr[order][1:] == arr[order][:-1], axis=1)
+    k = np.flatnonzero(same)
+    return order[k], order[k + 1]
 
 
 class PointCloud:
@@ -128,12 +138,9 @@ def _validate(cloud: PointCloud):
         else:
             findings.append(f"non-finite coordinate at index {i}")
     arr = None if wrong.any() else flat.reshape(n, cloud.ambient_dim)
-    if not findings and n > 1:
-        order = np.lexsort(arr.T)
-        same = np.all(arr[order][1:] == arr[order][:-1], axis=1)
-        for k in np.nonzero(same)[0]:
-            warnings.append(
-                f"duplicate point: indices {order[k]} and {order[k + 1]}")
+    if not findings:
+        for a, b in zip(*_equal_rows(arr)):
+            warnings.append(f"duplicate point: indices {a} and {b}")
     return ValidationReport(tuple(findings), tuple(warnings)), arr
 
 
@@ -199,10 +206,11 @@ class EmbeddedGraph:
                              "vector per vertex")
         if not np.all(np.isfinite(pos)):
             raise ValueError("vertex positions must be finite")
-        for i in range(len(pos)):
-            for j in range(i + 1, len(pos)):
-                if np.array_equal(pos[i], pos[j]):
-                    raise ValueError(f"vertices {i} and {j} share a position")
+        first, second = _equal_rows(pos)
+        if len(first):
+            # the smallest index with an equal later row, and the next one
+            k = np.argmin(first)
+            raise ValueError(f"vertices {first[k]} and {second[k]} share a position")
         self.graph = graph
         self.vertex_positions = _freeze(pos)
 
@@ -260,30 +268,35 @@ class Stratification:
 
     ``incidence[k]`` gives the ordered pair (j1, j2) of vertex-cluster
     indices bounding edge cluster k.  Clusters are disjoint, non-empty, and
-    jointly cover every point index.
+    jointly cover every point index.  ``cluster_of[i]`` is point i's cluster:
+    vertex cluster j has id j, edge cluster k id ``len(vertex_clusters) + k``.
     """
 
     def __init__(self, vertex_clusters, edge_clusters, incidence, n_points=None):
-        self.vertex_clusters = tuple(tuple(sorted(int(i) for i in c))
-                                     for c in vertex_clusters)
-        self.edge_clusters = tuple(tuple(sorted(int(i) for i in c))
-                                   for c in edge_clusters)
+        self.vertex_clusters = tuple(tuple(sorted(map(int, c))) for c in vertex_clusters)
+        self.edge_clusters = tuple(tuple(sorted(map(int, c))) for c in edge_clusters)
         self.incidence = tuple((int(a), int(b)) for a, b in incidence)
-        self._check(n_points)
+        self.cluster_of = _freeze(self._check(n_points))
 
-    def _check(self, n_points):
-        seen = set()
-        for c in self.vertex_clusters + self.edge_clusters:
-            if not c:
-                raise ValueError("clusters must be non-empty")
-            for i in c:
-                if i in seen:
-                    raise ValueError(f"point {i} appears in two clusters")
-                seen.add(i)
-        n = len(seen)
+    def _check(self, n_points) -> np.ndarray:
+        """The per-point cluster ids; errors are those of a walk over the
+        clusters that stops at the first empty one or repeated point."""
+        clusters = self.vertex_clusters + self.edge_clusters
+        sizes = np.fromiter(map(len, clusters), dtype=int, count=len(clusters))
+        flat = np.fromiter(chain.from_iterable(clusters), dtype=int,
+                           count=int(sizes.sum()))
+        # a stable sort puts every repeat after its first occurrence
+        order = np.argsort(flat, kind="stable")
+        repeats = order[1:][flat[order][1:] == flat[order][:-1]]
+        first_repeat = repeats.min(initial=len(flat))
+        if np.any((np.cumsum(sizes) - sizes)[sizes == 0] <= first_repeat):
+            raise ValueError("clusters must be non-empty")
+        if first_repeat < len(flat):
+            raise ValueError(f"point {flat[first_repeat]} appears in two clusters")
+        n = len(flat)
         if n_points is not None and n != n_points:
             raise ValueError(f"clusters cover {n} points, expected {n_points}")
-        if seen and (min(seen) != 0 or max(seen) != n - 1):
+        if n and (flat.min() != 0 or flat.max() != n - 1):
             raise ValueError("clusters must partition the contiguous index range")
         self.n_points = n
         if len(self.incidence) != len(self.edge_clusters):
@@ -294,12 +307,12 @@ class Stratification:
                 raise ValueError(f"edge cluster {k} has identical endpoints")
             if not (0 <= a < kv and 0 <= b < kv):
                 raise ValueError(f"edge cluster {k} incidence {a, b} out of range")
+        cluster_of = np.empty(n, dtype=int)
+        cluster_of[flat] = np.repeat(np.arange(len(clusters)), sizes)
+        return cluster_of
 
     def labels(self) -> DimensionLabels:
-        lab = np.zeros(self.n_points, dtype=int)
-        for c in self.edge_clusters:
-            lab[list(c)] = 1
-        return DimensionLabels(lab)
+        return DimensionLabels(self.cluster_of >= len(self.vertex_clusters))
 
     def abstract_graph(self) -> AbstractGraph:
         return AbstractGraph(len(self.vertex_clusters), self.incidence)

@@ -14,7 +14,6 @@ initial position and reported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -22,6 +21,12 @@ from .core import AbstractGraph, EmbeddedGraph, PointCloud, Stratification
 from .geometry import project_many
 
 __all__ = ["FitProblem", "FitResult", "objective", "initialize", "fit"]
+
+# Sweeps of ``fit`` at most, and the decrease of the objective, absolute
+# or relative to it, below which a sweep may stop the loop.
+_MAX_ITERS = 200
+_ABS_TOL = 1e-14
+_REL_TOL = 1e-10
 
 
 class FitProblem:
@@ -38,16 +43,10 @@ class FitProblem:
                              f"points, the cloud has {len(cloud)}")
         self.cloud = cloud
         self.stratification = stratification
-        # the clusters partition 0..n-1 (Stratification checks it), so one
-        # scatter gives every point its cluster id; vertex clusters come
-        # first.  The endpoint arrays are fancy-indexed copies: strided
-        # column views of ``ends`` made every fit iteration slower.
-        clusters = stratification.vertex_clusters + stratification.edge_clusters
-        sizes = np.fromiter(map(len, clusters), dtype=int, count=len(clusters))
-        members = np.fromiter(chain.from_iterable(clusters), dtype=int,
-                              count=len(cloud))
-        cluster = np.empty(len(cloud), dtype=int)
-        cluster[members] = np.repeat(np.arange(len(clusters)), sizes)
+        # vertex clusters have ids 0..k-1, edge cluster e has id k + e.
+        # The endpoint arrays are fancy-indexed copies: strided column
+        # views of ``ends`` made every fit iteration slower.
+        cluster = stratification.cluster_of
         k = self.n_vertices
         self._d0 = np.flatnonzero(cluster < k)
         self._d0v = cluster[self._d0]
@@ -127,8 +126,6 @@ def initialize(problem: FitProblem):
     pts = problem.cloud.array
     x = np.empty((problem.n_vertices, pts.shape[1]))
     for v_id, cluster in enumerate(problem.stratification.vertex_clusters):
-        if len(cluster) == 0:
-            raise ValueError(f"vertex cluster {v_id} is empty")
         x[v_id] = pts[list(cluster)].mean(axis=0)
     t = np.zeros(len(pts))
     if len(problem._d1):
@@ -201,8 +198,7 @@ def _projected_gradient_norm(problem: FitProblem, x: np.ndarray, t: np.ndarray) 
     return float(np.sqrt(total))
 
 
-def fit(problem: FitProblem, max_iters: int = 200, rel_tol: float = 1e-10,
-        abs_tol: float = 1e-14) -> FitResult:
+def fit(problem: FitProblem) -> FitResult:
     """Alternate exact theta and position steps until Phi stops decreasing.
 
     The trace is non-increasing: a sweep whose recomputed objective fails
@@ -220,7 +216,7 @@ def fit(problem: FitProblem, max_iters: int = 200, rel_tol: float = 1e-10,
     pinned_ever = set()
     iterations = 0
 
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         iterations += 1
         t_new = _theta_step(problem, x, t)
         x_new, pinned = _x_step(problem, t_new, x_init)
@@ -232,7 +228,7 @@ def fit(problem: FitProblem, max_iters: int = 200, rel_tol: float = 1e-10,
         trace.append(phi_new)
         decrease = phi - phi_new
         phi = phi_new
-        if decrease <= abs_tol or decrease <= rel_tol * phi:
+        if decrease <= _ABS_TOL or decrease <= _REL_TOL * phi:
             if _projected_gradient_norm(problem, x, t) <= 1e-6 * (1.0 + phi):
                 break
 

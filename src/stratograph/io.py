@@ -41,12 +41,39 @@ def _dump_json(obj, path: str):
         fh.write("\n")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, *keys) -> dict:
+    """The JSON object in ``path``, which must hold every key in ``keys``."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key in keys:
+        if key not in data:
+            raise FormatError(f"{path}: missing key {key!r}")
+    return data
+
+
+def _convert(path: str, key: str, value, convert):
+    """``convert(value)``, or a FormatError naming the file and the key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: {key!r}: {exc}") from exc
+
+
+def _listed(value) -> list:
+    """``value`` itself if it is a JSON array; a string or number is no list."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+def _numbers(path: str, key: str, value, kind=float) -> list:
+    """``kind`` of each entry of the JSON array ``value``."""
+    return _convert(path, key, value, lambda v: [kind(x) for x in _listed(v)])
 
 
 def _sidecar(path: str) -> str:
@@ -72,17 +99,17 @@ def read_cloud(path: str, format: str | None = None,
     """
     fmt = _infer_format(path, format)
     if fmt == "json":
-        data = _load_json(path)
-        for key in ("epsilon", "points"):
-            if key not in data:
-                raise FormatError(f"{path}: missing key {key!r}")
-        points = _parse_points(data["points"], path)
-        eps = float(data["epsilon"]) if epsilon is None else float(epsilon)
-        return PointCloud(points, eps)
+        data = _load_json(path, "epsilon", "points")
+        points = _parse_points(data["points"], path, "points")
+        if epsilon is None:
+            epsilon = _convert(path, "epsilon", data["epsilon"], float)
+        return PointCloud(points, float(epsilon))
 
     if epsilon is None and os.path.exists(_sidecar(path)):
         meta = _load_json(_sidecar(path))
         epsilon = meta.get("epsilon")
+        if epsilon is not None:
+            epsilon = _convert(_sidecar(path), "epsilon", epsilon, float)
     if epsilon is None:
         raise FormatError(f"{path}: CSV clouds need epsilon via keyword, "
                           f"flag, or sidecar {_sidecar(path)!r}")
@@ -106,17 +133,18 @@ def read_cloud(path: str, format: str | None = None,
     return PointCloud(points, float(epsilon))
 
 
-def _parse_points(raw, path: str) -> list:
+def _parse_points(raw, path: str, key: str) -> list:
+    """The list of coordinate lists under ``key``, all of one length."""
     points = []
     width = None
-    for row, entry in enumerate(raw):
-        coords = list(entry)
+    for row, entry in enumerate(_convert(path, key, raw, _listed)):
+        coords = _numbers(path, f"{key}[{row}]", entry)
         if width is None:
             width = len(coords)
         elif len(coords) != width:
             raise FormatError(f"{path}: point {row} has {len(coords)} "
                               f"coordinates, expected {width}")
-        points.append([float(c) for c in coords])
+        points.append(coords)
     return points
 
 
@@ -136,11 +164,8 @@ def write_cloud(cloud: PointCloud, path: str, format: str | None = None):
 
 
 def read_embedded_graph(path: str) -> EmbeddedGraph:
-    data = _load_json(path)
-    for key in ("vertices", "edges"):
-        if key not in data:
-            raise FormatError(f"{path}: missing key {key!r}")
-    positions = _parse_points(data["vertices"], path)
+    data = _load_json(path, "vertices", "edges")
+    positions = _parse_points(data["vertices"], path, "vertices")
     try:
         graph = AbstractGraph(len(positions), data["edges"])
         return EmbeddedGraph(graph, positions)
@@ -154,18 +179,13 @@ def write_embedded_graph(graph: EmbeddedGraph, path: str):
 
 
 def read_stratification(path: str) -> Stratification:
-    data = _load_json(path)
-    for key in ("labels", "vertex_clusters", "edge_clusters", "incidence"):
-        if key not in data:
-            raise FormatError(f"{path}: missing key {key!r}")
+    data = _load_json(path, "labels", "vertex_clusters", "edge_clusters", "incidence")
     try:
         strat = Stratification(data["vertex_clusters"], data["edge_clusters"],
                                data["incidence"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    stored = [int(v) for v in data["labels"]]
-    derived = [int(v) for v in strat.labels().labels]
-    if stored != derived:
+    if _numbers(path, "labels", data["labels"], int) != strat.labels().labels.tolist():
         raise FormatError(f"{path}: labels disagree with the clusters")
     return strat
 
@@ -178,18 +198,25 @@ def write_stratification(strat: Stratification, path: str):
 
 
 def read_fit_result(path: str) -> FitResult:
-    data = _load_json(path)
-    for key in ("vertices", "thetas", "objective", "iterations", "converged"):
-        if key not in data:
-            raise FormatError(f"{path}: missing key {key!r}")
+    data = _load_json(path, "vertices", "thetas", "objective", "iterations",
+                      "converged")
     return FitResult(
-        vertex_positions=np.array(_parse_points(data["vertices"], path), dtype=float),
-        thetas=np.array([float(t) for t in data["thetas"]]),
-        objective_trace=tuple(float(v) for v in data["objective"]),
-        iterations=int(data["iterations"]),
+        vertex_positions=np.array(_parse_points(data["vertices"], path, "vertices"),
+                                  dtype=float),
+        thetas=np.array(_numbers(path, "thetas", data["thetas"])),
+        objective_trace=tuple(_numbers(path, "objective", data["objective"])),
+        iterations=_convert(path, "iterations", data["iterations"], int),
         converged=bool(data["converged"]),
-        pinned=tuple(int(v) for v in data.get("pinned", [])),
-        edges=tuple((int(a), int(b)) for a, b in data.get("edges", [])))
+        pinned=tuple(_numbers(path, "pinned", data.get("pinned", []), int)),
+        edges=tuple(_convert(path, "edges", data.get("edges", []),
+                             lambda v: [(int(a), int(b)) for a, b in _listed(v)])))
+
+
+def read_fitted(path: str) -> EmbeddedGraph:
+    """A fitted model file: FitResult JSON or plain embedded-graph JSON."""
+    if "thetas" in _load_json(path):
+        return read_fit_result(path).embedded_graph()
+    return read_embedded_graph(path)
 
 
 def write_fit_result(result: FitResult, path: str):

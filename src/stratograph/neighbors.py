@@ -8,13 +8,13 @@ rows, asked against the cloud's tree with a little slack, proposes
 candidate pairs, and each is kept only if it passes that exact predicate,
 so the tree's own distance arithmetic never decides a tie.  The graph
 stores its own neighbours in the same CSR form, and ``components``
-labels the connected components of any index subset at any threshold
-from those queries.
+returns the connected components of any index subset at any threshold
+from those queries, as ascending index arrays ordered by their smallest
+member.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -35,23 +35,6 @@ _BLOCK = 64
 # full up to 256 candidates per member; at 10 eps the largest balls of
 # the benchmark clouds hold 163 samples.
 _BLOCK_CANDIDATES = 1 << 14
-
-
-@dataclass(frozen=True)
-class ComponentLabeling:
-    """Connected-component labels for a queried index subset.
-
-    Each label is the smallest point index of its component, so the
-    labeling is canonical and independent of point order.
-    """
-    labels: dict
-    component_count: int
-
-    def groups(self):
-        by_label = {}
-        for i, lab in self.labels.items():
-            by_label.setdefault(lab, []).append(i)
-        return [sorted(by_label[lab]) for lab in sorted(by_label)]
 
 
 class NeighborhoodGraph:
@@ -167,12 +150,15 @@ def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
             return lab
 
 
-def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentLabeling:
+def components(graph: NeighborhoodGraph, subset, threshold: float) -> list:
     """Connected components of ``subset`` using only pairs with d <= threshold.
 
-    Any finite threshold works: pairs come from ``query_blocks``, and each
-    block's pairs are hooked onto the roots found so far, so only one
-    block's pairs are held at once.
+    Each component is an ascending int array of point indices, and the
+    components are ordered by their smallest member, so the partition is
+    canonical and independent of point order.  Any finite threshold
+    works: pairs come from ``query_blocks``, and each block's pairs are
+    hooked onto the roots found so far, so only one block's pairs are
+    held at once.
     """
     if not math.isfinite(threshold):
         raise ValueError("threshold must be finite")
@@ -181,6 +167,8 @@ def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentL
     outside = members[(members < 0) | (members >= n)]
     if len(outside):
         raise IndexError(f"subset index {outside[0]} out of range for {n} points")
+    if not len(members):
+        return []
     position = np.full(n, -1)
     position[members] = np.arange(len(members))
     lab = np.arange(len(members))
@@ -189,6 +177,7 @@ def components(graph: NeighborhoodGraph, subset, threshold: float) -> ComponentL
         dst = position[indices]
         later = dst > src  # each pair once; non-members are -1
         lab = _min_labels(len(members), lab[src[later]], lab[dst[later]])[lab]
-    roots = members[lab]
-    return ComponentLabeling(dict(zip(members.tolist(), roots.tolist())),
-                             len(np.unique(roots)))
+    # lab[i] is the position of the smallest member of i's component; a
+    # stable sort keeps each component ascending
+    order = np.argsort(lab, kind="stable")
+    return np.split(members[order], np.flatnonzero(np.diff(lab[order])) + 1)

@@ -251,10 +251,13 @@ def check_assumptions(graph: EmbeddedGraph, epsilon: float) -> AssumptionReport:
     min_len = float(np.min(lengths)) / epsilon if len(lengths) else math.inf
 
     min_sep = math.inf
-    for i in range(len(pos)):
-        for j in range(i + 1, len(pos)):
-            min_sep = min(min_sep, float(np.linalg.norm(pos[i] - pos[j])))
-    min_sep = min_sep / epsilon if len(pos) > 1 else math.inf
+    if len(pos) > 1:
+        # the tree's closest pair bounds the separation; the pairs within
+        # that bound, widened by _ROUNDING, are measured with np.linalg.norm
+        tree = cKDTree(pos)
+        bound = np.min(tree.query(pos, k=2)[0][:, 1]) * (1.0 + _ROUNDING)
+        min_sep = min(float(np.linalg.norm(pos[i] - pos[j])) for i, j in
+                      tree.query_pairs(bound, output_type="ndarray").tolist()) / epsilon
 
     violations = []
     if min_angle < math.pi / 6.0:

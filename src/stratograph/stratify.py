@@ -5,11 +5,11 @@ Vertex clusters are connected components of the dimension-0 samples at a
 generous threshold (10*eps by default: vertex neighborhoods are wide but
 well separated).  Edge clusters use the tighter 3*eps.  Each edge cluster
 must then touch exactly two vertex clusters within the link threshold;
-those two become the edge's endpoints.  Clusters come from
-``neighbors.components`` and incidence from one pass of
-``neighbors.query_blocks`` over all edge-cluster members, so every
+those two become the edge's endpoints.  Clusters are the ascending
+index arrays of ``neighbors.components``, and incidence comes from one
+pass of ``neighbors.query_blocks`` over all edge-cluster members, so every
 threshold is answered by the neighbourhood graph's one radius query, in
-blocks of bounded size.
+blocks of bounded size.  ``Stratification`` then holds the partition.
 """
 from __future__ import annotations
 
@@ -36,20 +36,17 @@ class IncidenceError(ValueError):
                          f"clusters {list(self.candidates)}, expected exactly 2")
 
 
-def _grouped(comp) -> list:
-    return [tuple(g) for g in comp.groups()]
-
-
 def cluster_vertices(cloud: PointCloud, graph: NeighborhoodGraph,
                      labels: DimensionLabels, threshold: float | None = None) -> list:
-    """Components of the dimension-0 samples; one cluster per vertex.
+    """Components of the dimension-0 samples; one cluster per vertex, as
+    ascending index arrays ordered by smallest member.
 
     The default threshold is 10*eps, far above the 3*eps neighborhood
     graph radius: vertex neighborhoods are wide but well separated.
     """
     if threshold is None:
         threshold = 10.0 * cloud.epsilon
-    return _grouped(components(graph, labels.indices_of(0), threshold))
+    return components(graph, labels.indices_of(0), threshold)
 
 
 def cluster_edges(cloud: PointCloud, graph: NeighborhoodGraph,
@@ -57,7 +54,7 @@ def cluster_edges(cloud: PointCloud, graph: NeighborhoodGraph,
     """Components of the dimension-1 samples at threshold 3*eps."""
     if threshold is None:
         threshold = 3.0 * cloud.epsilon
-    return _grouped(components(graph, labels.indices_of(1), threshold))
+    return components(graph, labels.indices_of(1), threshold)
 
 
 def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
@@ -82,7 +79,7 @@ def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
         raise ValueError("link_threshold must be finite")
     owner = np.full(len(cloud), -1)
     for v_id, cluster in enumerate(vertex_clusters):
-        owner[list(cluster)] = v_id
+        owner[np.fromiter(cluster, dtype=int)] = v_id
     n_vertex = max(1, len(vertex_clusters))
     members = np.concatenate([np.fromiter(c, dtype=int)
                               for c in edge_clusters] + [np.empty(0, dtype=int)])

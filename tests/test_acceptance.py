@@ -289,7 +289,7 @@ def test_criterion_06_oracle_equivalences():
     groups_oracle = {}
     for v, c in seen.items():
         groups_oracle.setdefault(c, set()).add(v)
-    assert sorted(comp.groups(), key=min) \
+    assert [c.tolist() for c in comp] \
         == sorted((sorted(g) for g in groups_oracle.values()), key=min)
 
     # segment projection vs theta-grid oracle

@@ -191,6 +191,82 @@ def test_emit_plot_row_counts(tmp_path, graph_file, capsys):
     assert len(lines) == 1 + n_samples + 5
 
 
+@pytest.mark.parametrize("clusters", [[[0], [1]], [[0], [1, 2, 3]]],
+                         ids=["fewer", "more"])
+def test_emit_plot_stratification_not_covering_cloud_exits_1(tmp_path, capsys,
+                                                             clusters):
+    cloud = tmp_path / "cloud.json"
+    cloud.write_text(json.dumps({"epsilon": EPS,
+                                 "points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}))
+    strat = tmp_path / "strat.json"
+    labels = [0] * sum(map(len, clusters))
+    strat.write_text(json.dumps({"labels": labels, "vertex_clusters": clusters,
+                                 "edge_clusters": [], "incidence": []}))
+    plot = tmp_path / "plot.csv"
+    code = run(["emit-plot", "--cloud", cloud, "--stratification", strat,
+                "--out", plot])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (f"error: stratification does not match the cloud: "
+                            f"the stratification covers {len(labels)} points, "
+                            f"the cloud has 3\n")
+    assert not plot.exists()
+
+
+GOOD_CLOUD = {"epsilon": EPS, "points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
+GOOD_FIT = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "thetas": [0.5],
+            "objective": [1.0], "iterations": 1, "converged": True,
+            "pinned": [], "edges": [[0, 1]]}
+GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
+              "edge_clusters": [[1]], "incidence": [[0, 1]]}
+
+
+@pytest.mark.parametrize("name, content, position", [
+    ("cloud.json", {**GOOD_CLOUD, "points": [1, 2]}, "'points[0]'"),
+    ("cloud.json", {**GOOD_CLOUD, "points": 5}, "'points'"),
+    ("cloud.json", {**GOOD_CLOUD, "points": [[0.0, 0.0], ["a", 1]]}, "'points[1]'"),
+    ("cloud.json", {**GOOD_CLOUD, "epsilon": "abc"}, "'epsilon'"),
+    ("cloud.json", {**GOOD_CLOUD, "epsilon": None}, "'epsilon'"),
+    ("cloud.json", [1, 2], "expected a JSON object"),
+    ("cloud.csv.meta.json", {"epsilon": "abc"}, "'epsilon'"),
+    ("graph.json", {"vertices": 5, "edges": []}, "'vertices'"),
+    ("graph.json", {"vertices": [[0.0, 0.0], [1.0, None]], "edges": []},
+     "'vertices[1]'"),
+    ("fit.json", {**GOOD_FIT, "thetas": 5}, "'thetas'"),
+    ("fit.json", {**GOOD_FIT, "objective": ["x"]}, "'objective'"),
+    ("fit.json", {**GOOD_FIT, "iterations": "many"}, "'iterations'"),
+    ("fit.json", {**GOOD_FIT, "edges": [[0]]}, "'edges'"),
+    ("fit.json", {**GOOD_FIT, "pinned": None}, "'pinned'"),
+    ("fit.json", 5, "expected a JSON object"),
+    ("strat.json", {**GOOD_STRAT, "labels": 5}, "'labels'"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_malformed_json_values_exit_2(tmp_path, capsys, segment_file, name,
+                                     content, position):
+    files = {"cloud.json": GOOD_CLOUD, "fit.json": GOOD_FIT,
+             "strat.json": GOOD_STRAT, name: content}
+    for file, data in files.items():
+        (tmp_path / file).write_text(json.dumps(data))
+    (tmp_path / "cloud.csv").write_text("0,0\n1,0\n")
+    graph = tmp_path / "graph.json" if name == "graph.json" else segment_file
+    command = {
+        "cloud.json": ["emit-plot", "--cloud", tmp_path / "cloud.json",
+                       "--stratification", tmp_path / "strat.json"],
+        "cloud.csv.meta.json": ["emit-plot", "--cloud", tmp_path / "cloud.csv",
+                                "--stratification", tmp_path / "strat.json"],
+        "graph.json": ["generate", "--graph", graph, "--epsilon", EPS],
+        "fit.json": ["evaluate", "--fitted", tmp_path / "fit.json",
+                     "--truth", segment_file],
+        "strat.json": ["fit", "--cloud", tmp_path / "cloud.json",
+                       "--stratification", tmp_path / "strat.json"],
+    }[name]
+    code = run(command + ["--out", tmp_path / "out.json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {tmp_path / name}: {position}")
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_emit_plot_requires_some_labeling(tmp_path, graph_file, capsys):
     cloud = tmp_path / "cloud.json"
     run(["generate", "--graph", graph_file, "--epsilon", EPS, "--out", cloud])

@@ -169,3 +169,132 @@ def test_stratification_incidence_pairs_validated():
     with pytest.raises(ValueError):
         # self-pair
         Stratification([[0], [3]], [[1, 2]], [(0, 0)], n_points=4)
+
+
+def check_per_point(vertex_clusters, edge_clusters, incidence, n_points=None):
+    """Reference of ``Stratification``'s validation: the per-point walk it
+    replaced.  Returns the point count and the per-point cluster ids."""
+    vertex_clusters = tuple(tuple(sorted(int(i) for i in c)) for c in vertex_clusters)
+    edge_clusters = tuple(tuple(sorted(int(i) for i in c)) for c in edge_clusters)
+    incidence = tuple((int(a), int(b)) for a, b in incidence)
+    seen = set()
+    for c in vertex_clusters + edge_clusters:
+        if not c:
+            raise ValueError("clusters must be non-empty")
+        for i in c:
+            if i in seen:
+                raise ValueError(f"point {i} appears in two clusters")
+            seen.add(i)
+    n = len(seen)
+    if n_points is not None and n != n_points:
+        raise ValueError(f"clusters cover {n} points, expected {n_points}")
+    if seen and (min(seen) != 0 or max(seen) != n - 1):
+        raise ValueError("clusters must partition the contiguous index range")
+    if len(incidence) != len(edge_clusters):
+        raise ValueError("one incidence pair per edge cluster is required")
+    kv = len(vertex_clusters)
+    for k, (a, b) in enumerate(incidence):
+        if a == b:
+            raise ValueError(f"edge cluster {k} has identical endpoints")
+        if not (0 <= a < kv and 0 <= b < kv):
+            raise ValueError(f"edge cluster {k} incidence {a, b} out of range")
+    cluster_of = {}
+    for j, c in enumerate(vertex_clusters + edge_clusters):
+        for i in c:
+            cluster_of[i] = j
+    return n, [cluster_of[i] for i in range(n)]
+
+
+def verdict(check, *args):
+    try:
+        return check(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def array_check(vertex_clusters, edge_clusters, incidence, n_points=None):
+    s = Stratification(vertex_clusters, edge_clusters, incidence, n_points)
+    assert not s.cluster_of.flags.writeable
+    return s.n_points, s.cluster_of.tolist()
+
+
+@pytest.mark.parametrize("vc, ec, inc, n", [
+    ([[0], [3]], [[1, 2]], [(0, 1)], 4),  # valid
+    ([[0, 4], [3]], [[1, 2]], [(0, 1)], 5),  # valid, clusters interleave
+    ([], [], [], None),  # nothing at all
+    ([[0], [0]], [[1, 2]], [(0, 1)], 3),  # duplicate across clusters
+    ([[0], [3]], [[1, 2, 2]], [(0, 1)], 4),  # duplicate within one cluster
+    ([[0], [4]], [[1, 2]], [(0, 1)], None),  # gap
+    ([[0], [3]], [[1]], [(0, 1)], 4),  # n_points mismatch
+    ([[-1], [1]], [[0]], [(0, 1)], None),  # negative index
+    ([[0], []], [[1]], [(0, 1)], None),  # empty cluster
+    ([{0}, {3}], [{2, 1}], [(0, 1)], 4),  # sets
+    ([{0}, {3, 1}], [{2, 1}], [(0, 1)], 4),  # sets with a duplicate
+    ([[0], []], [[1, 0]], [(0, 1)], None),  # empty before the duplicate
+    ([[0, 1], [1]], [[]], [(0, 1)], None),  # duplicate before the empty
+    ([[5, 6], [5, 3]], [[3, 6]], [(0, 1)], None),  # first repeat in walk order
+    ([[0], [2]], [[1]], [(0, 0)], None),  # identical endpoints
+    ([[0], [2]], [[1]], [(0, 2)], None),  # incidence out of range
+    ([[0], [2]], [[1]], [], None),  # incidence missing
+])
+def test_stratification_check_matches_per_point_reference(vc, ec, inc, n):
+    assert verdict(array_check, vc, ec, inc, n) == verdict(check_per_point, vc, ec, inc, n)
+
+
+def test_stratification_check_matches_reference_on_random_partitions():
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(400):
+        n = int(rng.integers(0, 12))
+        clusters = [rng.integers(-1, n + 1, size=int(rng.integers(0, 4)))
+                    for _ in range(int(rng.integers(1, 6)))]
+        if rng.random() < 0.5:  # a valid partition of 0..n-1 instead
+            cuts = np.sort(rng.choice(np.arange(1, n), size=min(n - 1, 3), replace=False)) \
+                if n > 1 else []
+            clusters = np.split(rng.permutation(n), cuts)
+        kv = int(rng.integers(0, len(clusters) + 1))
+        vc, ec = clusters[:kv], clusters[kv:]
+        inc = [(0, 1)] * len(ec)
+        n_points = n if rng.random() < 0.5 else None
+        got = verdict(array_check, vc, ec, inc, n_points)
+        assert got == verdict(check_per_point, vc, ec, inc, n_points)
+        outcomes.add(got if isinstance(got, str) else "ok")
+    assert "ok" in outcomes and len(outcomes) >= 5
+
+
+def test_stratification_labels_read_cluster_ids():
+    s = Stratification([{3, 0}, [5]], [(4, 1), [2]], [(0, 1), (1, 0)], n_points=6)
+    assert s.vertex_clusters == ((0, 3), (5,))
+    assert s.edge_clusters == ((1, 4), (2,))
+    assert s.cluster_of.tolist() == [0, 2, 3, 0, 2, 1]
+    assert s.labels().labels.tolist() == [0, 1, 1, 0, 1, 0]
+
+
+def shared_position_per_pair(pos):
+    """Reference of EmbeddedGraph's shared-position check: the pair loop."""
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            if np.array_equal(pos[i], pos[j]):
+                return f"vertices {i} and {j} share a position"
+    return None
+
+
+def test_shared_position_matches_pair_loop():
+    rng = np.random.default_rng(31)
+    found = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        dim = int(rng.integers(1, 4))
+        pos = rng.integers(0, 3, (k, dim)).astype(float)
+        pos[rng.random(pos.shape) < 0.2] *= -0.0  # -0.0 equals 0.0
+        want = shared_position_per_pair(pos)
+        try:
+            EmbeddedGraph(AbstractGraph(k), pos)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
+        found += want is not None
+    assert 50 < found < 300
+    with pytest.raises(ValueError, match="vertices 0 and 1 share a position"):
+        EmbeddedGraph(AbstractGraph(2), np.zeros((2, 0)))

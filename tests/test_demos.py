@@ -1,9 +1,13 @@
-"""Every script under demos/ runs to completion without a warning."""
+"""Every script under demos/ and the package docstring example run to
+completion without a warning."""
+import doctest
 import runpy
 import warnings
 from pathlib import Path
 
 import pytest
+
+import stratograph
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
@@ -20,3 +24,10 @@ def test_demo_runs(path, capsys, monkeypatch):
         runpy.run_path(str(path), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip()
+
+
+def test_package_docstring_example():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        failed, attempted = doctest.testmod(stratograph)
+    assert attempted > 0 and failed == 0

@@ -41,6 +41,22 @@ def brute_adjacency(pts, r):
     return out
 
 
+def labels_of(comps):
+    """Point -> smallest member of its component, after checking that the
+    components are ascending int arrays ordered by their smallest member."""
+    for c in comps:
+        assert c.dtype.kind == "i" and len(c) and np.all(np.diff(c) > 0)
+    firsts = [int(c[0]) for c in comps]
+    assert firsts == sorted(firsts)
+    return {int(i): int(c[0]) for c in comps for i in c}
+
+
+def partition_of(comps):
+    """The components as a set of frozensets, after the checks of ``labels_of``."""
+    labels_of(comps)
+    return {frozenset(c.tolist()) for c in comps}
+
+
 def bfs_partition(adjacency, subset, pts, max_edge):
     """Traversal oracle: plain breadth-first search over the subset."""
     member = set(subset)
@@ -119,8 +135,8 @@ def test_build_graph_oracle_3d_2000_points():
 def test_components_chain_examples():
     cloud = PointCloud([(0, 0), (0.2, 0), (0.4, 0)], 0.1)
     g = build_graph(cloud, 0.2)
-    assert components(g, [0, 1, 2], 0.2).component_count == 1
-    assert components(g, [0, 1, 2], 0.15).component_count == 3
+    assert len(components(g, [0, 1, 2], 0.2)) == 1
+    assert len(components(g, [0, 1, 2], 0.15)) == 3
 
 
 def test_components_threshold_above_radius_matches_bfs_oracle():
@@ -133,16 +149,15 @@ def test_components_threshold_above_radius_matches_bfs_oracle():
         oracle_adj = brute_adjacency(pts, max_edge)
         subset = list(range(0, 400, 2))
         got = components(g, subset, max_edge)
-        parts = {frozenset(grp) for grp in got.groups()}
-        assert parts == bfs_partition(oracle_adj, subset, pts, max_edge)
+        assert partition_of(got) == bfs_partition(oracle_adj, subset, pts, max_edge)
 
 
 def test_components_tie_above_radius_included():
     g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS / 4)
     assert row(g, 0) == []
-    assert components(g, [0, 1], TIE_RADIUS).component_count == 1
+    assert len(components(g, [0, 1], TIE_RADIUS)) == 1
     below = np.nextafter(TIE_RADIUS, 0.0)
-    assert components(g, [0, 1], below).component_count == 2
+    assert len(components(g, [0, 1], below)) == 2
 
 
 def test_components_cloud_spanning_threshold_memory_bounded():
@@ -153,11 +168,11 @@ def test_components_cloud_spanning_threshold_memory_bounded():
     g = build_graph(PointCloud(rng.uniform(0, 1, (1000, 3)), 0.01), 0.03)
     tracemalloc.start()
     try:
-        lab = components(g, range(1000), 2.0)
+        comps = components(g, range(1000), 2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lab.component_count == 1
+    assert len(comps) == 1
     assert peak < 4e6
 
 
@@ -177,16 +192,16 @@ def test_components_matches_bfs_oracle():
     for max_edge in (0.08, 0.05):
         subset = list(range(0, 300, 2))
         got = components(g, subset, max_edge)
-        parts = {frozenset(grp) for grp in got.groups()}
-        assert parts == bfs_partition(oracle_adj, subset, pts, max_edge)
+        assert partition_of(got) == bfs_partition(oracle_adj, subset, pts, max_edge)
 
 
 def test_components_labels_are_canonical_min_index():
     cloud = PointCloud([(0, 0), (0.1, 0), (5, 0), (5.1, 0)], 0.1)
     g = build_graph(cloud, 0.2)
-    lab = components(g, [0, 1, 2, 3], 0.2)
-    assert lab.labels == {0: 0, 1: 0, 2: 2, 3: 2}
-    assert lab.groups() == [[0, 1], [2, 3]]
+    comps = components(g, [3, 1, 2, 0, 2], 0.2)
+    assert labels_of(comps) == {0: 0, 1: 0, 2: 2, 3: 2}
+    assert [c.tolist() for c in comps] == [[0, 1], [2, 3]]
+    assert components(g, [], 0.2) == []
 
 
 def test_components_refinement_property():
@@ -195,10 +210,11 @@ def test_components_refinement_property():
     pts = rng.uniform(0, 1, (200, 2))
     cloud = PointCloud(pts, 0.1)
     g = build_graph(cloud, 0.1)
-    coarse = components(g, range(200), 0.1)
+    coarse = labels_of(components(g, range(200), 0.1))
     fine = components(g, range(200), 0.06)
-    for grp in fine.groups():
-        coarse_ids = {coarse.labels[i] for i in grp}
+    labels_of(fine)
+    for grp in fine:
+        coarse_ids = {coarse[i] for i in grp.tolist()}
         assert len(coarse_ids) == 1
 
 
@@ -334,7 +350,7 @@ def test_subset_components_with_and_without_index_agree():
                            <= 0.15 * 0.15)[0].tolist()) for p in pts]
     want = {i: min(part) for part in bfs_partition(scan, subset, pts, 0.15)
             for i in part}
-    assert components(g, subset, 0.15).labels == want
+    assert labels_of(components(g, subset, 0.15)) == want
 
 
 def test_order_independence_of_partition():
@@ -346,8 +362,6 @@ def test_order_independence_of_partition():
     # compare partitions as sets of point-coordinate sets
     c1 = components(g1, range(150), 0.1)
     c2 = components(g2, range(150), 0.1)
-    as_points_1 = {frozenset(map(tuple, pts[grp].tolist()))
-                   for grp in map(list, c1.groups())}
-    as_points_2 = {frozenset(map(tuple, pts[perm][grp].tolist()))
-                   for grp in map(list, c2.groups())}
+    as_points_1 = {frozenset(map(tuple, pts[grp].tolist())) for grp in c1}
+    as_points_2 = {frozenset(map(tuple, pts[perm][grp].tolist())) for grp in c2}
     assert as_points_1 == as_points_2

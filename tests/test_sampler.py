@@ -192,6 +192,30 @@ def test_check_assumptions_close_vertices_fail():
     assert any("separation" in v for v in report.violations)
 
 
+def separation_per_pair(pos, epsilon):
+    """Reference of check_assumptions' vertex separation: the pair loop."""
+    min_sep = math.inf
+    for i in range(len(pos)):
+        for j in range(i + 1, len(pos)):
+            min_sep = min(min_sep, float(np.linalg.norm(pos[i] - pos[j])))
+    return min_sep / epsilon if len(pos) > 1 else math.inf
+
+
+def test_vertex_separation_matches_pair_loop_bitwise():
+    rng = np.random.default_rng(37)
+    lattice = np.stack(np.meshgrid(np.arange(6), np.arange(6)), -1).reshape(-1, 2)
+    cases = [np.zeros((1, 2)), lattice * 0.7, lattice * 0.7 + 1e7,
+             np.array([[0.0], [1e-300], [1.0]])]
+    for _ in range(60):
+        k, dim = int(rng.integers(2, 40)), int(rng.integers(1, 4))
+        scale = 10.0 ** rng.integers(-8, 9)
+        cases.append(rng.normal(0.0, scale, (k, dim)) + rng.normal(0.0, 1e3 * scale, dim))
+    for pos in cases:
+        emb = EmbeddedGraph(AbstractGraph(len(pos)), pos)
+        got = check_assumptions(emb, 0.1).min_vertex_separation
+        assert got == separation_per_pair(emb.vertex_positions, 0.1)
+
+
 def test_check_assumptions_acceptance_embeddings_pass(truth_2d, truth_3d):
     for truth in (truth_2d, truth_3d):
         report = check_assumptions(truth, EPS)
