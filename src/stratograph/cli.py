@@ -16,6 +16,7 @@ error path prints a single line starting with "error:" to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -228,7 +229,14 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process.
+
+    A parser is a reference cycle of a few hundred objects that only a
+    full garbage collection frees, so a process that built one per
+    ``main`` call kept a growing share of them resident.
+    """
     parser = argparse.ArgumentParser(
         prog="stratograph",
         description="Reconstruct embedded graphs from noisy point samples.")

@@ -18,9 +18,11 @@ reference in ``tests/test_dimension.py`` evaluates (a), (b), (c) in that
 order on one ball; ``classify_all`` gives its label on every sample but
 runs the annulus test first and the ball test only where the annulus
 gives 0, so most samples on an edge never need the larger ball graph.
-It classifies blocks of at most ``_BLOCK_MEMBERS`` ball members, taking
-pairs from the neighbourhood graph's CSR rows: apart from one index and
-two flags per pair, its working set is bounded by one block.
+It classifies blocks of ball members, at most ``_BLOCK_MEMBERS`` or
+three quarters of the cloud's points, whichever is more, taking pairs
+from the neighbourhood graph's CSR rows: apart from one index and two
+flags per pair, its working set is bounded by one block, and so by a
+fixed share of the CSR the graph holds.
 
 The angle test (c) runs batched over a block: centroids come from one
 sum per (ball, component), cosines and norms from one pass.  The batch
@@ -55,6 +57,12 @@ _DEGENERATE = 1e-12
 # keeps freed blocks below that size in a cache per byte size, so masks
 # of every smaller length would leave behind up to 3.5 MB.
 _BLOCK_MEMBERS = 1536
+# Large clouds take blocks of up to 3/4 as many ball members as points.
+# A block's working set grows with members times degree, so a share of
+# the points, unlike a share of the CSR entries, keeps it a fixed share
+# of the CSR at any density.  3/4 cuts an 8x8 grid-graph cloud (8,912
+# points) from 357 blocks to 75 at a traced peak of 2.3x the CSR's bytes
+# (1.5x at the floor); clouds under 2,048 points keep the floor.
 # Pairs per chunk when testing pair distances, so that no float array
 # spans the whole adjacency.
 _BLOCK_PAIRS = 4096
@@ -248,7 +256,8 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     """Classify every sample with the per-ball tests (a), (b), (c).
 
     Samples are classified in blocks of at most ``_BLOCK_MEMBERS`` ball
-    members (or one ball, if larger).  In each block the annulus test runs
+    members, or three quarters of the cloud's points if more (or one
+    ball, if larger).  In each block the annulus test runs
     first, and the ball test only for samples whose annulus gives 0: the
     label is 1 when either test says 1, so the order cannot change it.
     The angle test runs batched; ``angle_test`` itself decides only the
@@ -270,6 +279,7 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     scale = float(np.max(np.abs(pts), initial=0.0))
     out = np.empty(n, dtype=int)
     sizes, flat = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    budget = max(_BLOCK_MEMBERS, 3 * n // 4)
     lo, size = 0, 1
     while lo < n:
         if len(sizes) < size:
@@ -279,12 +289,12 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
             flat = np.concatenate([flat, more])
         # the leading balls that fit the budget (at least one); the rest wait
         members = np.cumsum(sizes)
-        take = max(1, int(np.searchsorted(members, _BLOCK_MEMBERS, side="right")))
+        take = max(1, int(np.searchsorted(members, budget, side="right")))
         used = int(members[take - 1])
         queries = np.arange(lo, lo + take)
         out[queries] = _classify_block(pts, queries, (sizes[:take], flat[:used]),
                                        pairs, params, scale)
         # nearby samples have similar balls: size the next block by these
-        size = max(1, _BLOCK_MEMBERS * take // used)
+        size = max(1, budget * take // used)
         sizes, flat, lo = sizes[take:], flat[used:], lo + take
     return DimensionLabels(out)

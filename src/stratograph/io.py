@@ -50,10 +50,15 @@ def _load_json(path: str, *keys) -> dict:
             raise FormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    _require(data, path, *keys)
+    return data
+
+
+def _require(data: dict, path: str, *keys):
+    """A FormatError naming the first of ``keys`` missing from ``data``."""
     for key in keys:
         if key not in data:
             raise FormatError(f"{path}: missing key {key!r}")
-    return data
 
 
 def _convert(path: str, key: str, value, convert):
@@ -164,7 +169,11 @@ def write_cloud(cloud: PointCloud, path: str, format: str | None = None):
 
 
 def read_embedded_graph(path: str) -> EmbeddedGraph:
-    data = _load_json(path, "vertices", "edges")
+    return _embedded_graph(_load_json(path), path)
+
+
+def _embedded_graph(data: dict, path: str) -> EmbeddedGraph:
+    _require(data, path, "vertices", "edges")
     positions = _parse_points(data["vertices"], path, "vertices")
     try:
         graph = AbstractGraph(len(positions), data["edges"])
@@ -198,8 +207,12 @@ def write_stratification(strat: Stratification, path: str):
 
 
 def read_fit_result(path: str) -> FitResult:
-    data = _load_json(path, "vertices", "thetas", "objective", "iterations",
-                      "converged")
+    return _fit_result(_load_json(path), path)
+
+
+def _fit_result(data: dict, path: str) -> FitResult:
+    _require(data, path, "vertices", "thetas", "objective", "iterations",
+             "converged")
     return FitResult(
         vertex_positions=np.array(_parse_points(data["vertices"], path, "vertices"),
                                   dtype=float),
@@ -214,9 +227,10 @@ def read_fit_result(path: str) -> FitResult:
 
 def read_fitted(path: str) -> EmbeddedGraph:
     """A fitted model file: FitResult JSON or plain embedded-graph JSON."""
-    if "thetas" in _load_json(path):
-        return read_fit_result(path).embedded_graph()
-    return read_embedded_graph(path)
+    data = _load_json(path)
+    if "thetas" in data:
+        return _fit_result(data, path).embedded_graph()
+    return _embedded_graph(data, path)
 
 
 def write_fit_result(result: FitResult, path: str):

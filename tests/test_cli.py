@@ -1,4 +1,5 @@
 """Command-line behavior: outputs, exit codes, and reproducibility."""
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import stratograph
 from stratograph import (SampleOptions, sample_graph, write_cloud,
                          write_embedded_graph)
+from stratograph import cli
 from stratograph.cli import main
 from conftest import EPS
 
@@ -267,6 +269,47 @@ def test_malformed_json_values_exit_2(tmp_path, capsys, segment_file, name,
     assert not (tmp_path / "out.json").exists()
 
 
+GOOD_GRAPH = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "emit-plot"])
+@pytest.mark.parametrize("content, problem", [
+    (GOOD_FIT, None),
+    (GOOD_GRAPH, None),
+    ({k: v for k, v in GOOD_FIT.items() if k != "converged"},
+     "missing key 'converged'"),
+    ({"vertices": GOOD_GRAPH["vertices"]}, "missing key 'edges'"),
+    ({**GOOD_FIT, "thetas": 5}, "'thetas'"),
+    ("{", "invalid JSON"),
+], ids=["fit", "graph", "fit-missing-key", "graph-missing-key", "fit-bad-value",
+        "not-json"])
+def test_fitted_reads_fit_or_graph_file(tmp_path, capsys, segment_file, command,
+                                        content, problem):
+    fitted = tmp_path / "fitted.json"
+    fitted.write_text(content if isinstance(content, str) else json.dumps(content))
+    (tmp_path / "cloud.json").write_text(json.dumps(GOOD_CLOUD))
+    (tmp_path / "strat.json").write_text(json.dumps(GOOD_STRAT))
+    out = tmp_path / "out"
+    args = {"evaluate": ["--truth", segment_file],
+            "emit-plot": ["--cloud", tmp_path / "cloud.json",
+                          "--stratification", tmp_path / "strat.json"]}[command]
+    code = run([command, "--fitted", fitted, *args, "--out", out])
+    captured = capsys.readouterr()
+    if problem is None:
+        assert code == 0 and captured.err == ""
+        if command == "emit-plot":
+            vertex_rows = [l for l in out.read_text().splitlines()
+                           if l.startswith("vertex,")]
+            assert len(vertex_rows) == 2
+        else:
+            assert json.loads(out.read_text())["isomorphic"] is True
+    else:
+        assert code == 2
+        assert captured.err.startswith(f"error: {fitted}: {problem}")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+
 def test_emit_plot_requires_some_labeling(tmp_path, graph_file, capsys):
     cloud = tmp_path / "cloud.json"
     run(["generate", "--graph", graph_file, "--epsilon", EPS, "--out", cloud])
@@ -383,6 +426,28 @@ def test_console_script_entry_point(tmp_path, graph_file):
 def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_repeated_main_leaves_less_garbage_than_one_parser(tmp_path,
+                                                          segment_file, capsys):
+    # a parser is a reference cycle that only the cyclic collector frees;
+    # building one per call made the peak RSS of a process that calls main
+    # in a loop grow with the number of calls
+    argv = ["generate", "--graph", segment_file, "--epsilon", EPS,
+            "--seed", 1, "--out", tmp_path / "cloud.json"]
+    assert run(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        cli._build_parser.__wrapped__()
+        one_parser = gc.collect()
+        for _ in range(5):
+            assert run(argv) == 0
+        five_calls = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert five_calls < one_parser
 
 
 BAD_SCALES = ["0", "-1", "nan", "inf"]

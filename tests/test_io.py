@@ -10,6 +10,7 @@ from stratograph import (AbstractGraph, EmbeddedGraph, FitProblem, FormatError,
                          read_stratification, reconstruct_structure,
                          sample_graph, write_cloud, write_embedded_graph,
                          write_fit_result, write_report, write_stratification)
+from stratograph.io import read_fitted
 from conftest import EPS
 
 
@@ -161,3 +162,24 @@ def test_write_report(tmp_path):
     with open(path) as fh:
         data = json.loads(fh.read())
     assert data == {"isomorphic": True, "max_vertex_error": 0.01}
+
+
+def test_read_fitted_parses_the_file_once(tmp_path, truth_2d, monkeypatch):
+    # read_fitted decides between the two formats on the parsed object
+    # and builds from it, so each file is parsed exactly once
+    graph_path = str(tmp_path / "graph.json")
+    write_embedded_graph(truth_2d, graph_path)
+    cloud = sample_graph(truth_2d, EPS, SampleOptions(seed=4))
+    res = fit(FitProblem(cloud, reconstruct_structure(cloud)))
+    fit_path = str(tmp_path / "fit.json")
+    write_fit_result(res, fit_path)
+    parsed = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: parsed.append(fh.name) or load(fh))
+    from_graph = read_fitted(graph_path)
+    from_fit = read_fitted(fit_path)
+    assert parsed == [graph_path, fit_path]
+    assert from_graph.graph.edges == truth_2d.graph.edges
+    assert np.array_equal(from_graph.vertex_positions, truth_2d.vertex_positions)
+    assert from_fit.graph.edges == res.embedded_graph().graph.edges
+    assert np.array_equal(from_fit.vertex_positions, res.vertex_positions)

@@ -1,10 +1,13 @@
 """Threshold graphs, radius queries, and component labeling vs oracles."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stratograph import PointCloud, build_graph, components
+from stratograph import (AbstractGraph, EmbeddedGraph, PointCloud, SampleOptions,
+                         build_graph, classify_all, components, sample_graph)
 from stratograph.neighbors import _BLOCK, _QUERY_ROWS, query_blocks
 
 # A pair at exactly r = TIE_RADIUS: the einsum predicate sq <= r*r holds,
@@ -325,6 +328,34 @@ def test_build_graph_memory_bounded_by_query_blocks():
     assert peak < 3 * (g.indptr.nbytes + g.indices.nbytes)
 
 
+def test_graph_sized_blocks_memory_bounded_by_csr():
+    # an 8x8 grid graph with 4-unit edges at eps 0.1 (8,912 samples, about
+    # 106k CSR entries) gets blocks sized to the graph: about 4x fewer
+    # classifier blocks and 3x fewer component blocks than at the fixed
+    # floors.  They peak near 2.3x (classify) and 1.2x (components) the
+    # CSR, against 1.5x and 0.8x at the floors; a single uncapped block
+    # peaks near 89x and 25x
+    side, eps = 8, 0.1
+    edges = ([(v, v + side) for v in range(side * (side - 1))]
+             + [(v, v + 1) for v in range(side * side) if v % side != side - 1])
+    positions = [(4.0 * (v // side), 4.0 * (v % side)) for v in range(side * side)]
+    truth = EmbeddedGraph(AbstractGraph(side * side, edges), positions)
+    cloud = sample_graph(truth, eps, SampleOptions(seed=17))
+    g = build_graph(cloud, 3.0 * eps)
+    assert len(cloud) > 8000
+    csr = g.indptr.nbytes + g.indices.nbytes
+    for name, call in (("classify_all", lambda: classify_all(cloud, g)),
+                       ("components", lambda: components(g, range(len(cloud)),
+                                                         10.0 * eps))):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * csr, name
+
+
 def test_query_blocks_cover_rows_once_in_order():
     rng = np.random.default_rng(41)
     pts = rng.uniform(0, 1, (500, 2))
@@ -365,3 +396,67 @@ def test_order_independence_of_partition():
     as_points_1 = {frozenset(map(tuple, pts[grp].tolist())) for grp in c1}
     as_points_2 = {frozenset(map(tuple, pts[perm][grp].tolist())) for grp in c2}
     assert as_points_1 == as_points_2
+
+
+def einsum_rows(pts, qs, radius):
+    """All-pairs oracle: for each query, the points with einsum <= r*r."""
+    out = []
+    for q in qs:
+        diff = pts - q
+        out.append(np.flatnonzero(np.einsum("ij,ij->i", diff, diff)
+                                  <= radius * radius).tolist())
+    return out
+
+
+def assert_matches_oracle(pts, radius):
+    g = build_graph(PointCloud(pts, 0.1), radius)
+    want = einsum_rows(pts, pts, radius)
+    assert balls(g, pts, radius) == want
+    assert [row(g, i) for i in range(len(pts))] == [
+        [j for j in w if j != i] for i, w in enumerate(want)]
+
+
+# grid coordinates make many exactly tied distances, free ones the rest
+_COORD = st.one_of(st.integers(-4, 4).map(float),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def clouds_and_tie_radius(draw):
+    """A 1-3 D cloud at scale 1e-30 to 1e30, translated by up to 1e7 times
+    the scale, and a radius equal to one of its pair distances."""
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(_COORD, min_size=dim, max_size=dim),
+                         min_size=2, max_size=24))
+    scale = 10.0 ** draw(st.integers(-30, 30))
+    shift = [draw(st.floats(-1e7, 1e7, allow_nan=False)) for _ in range(dim)]
+    pts = (np.array(rows) + np.array(shift)) * scale
+    i = draw(st.integers(0, len(pts) - 1))
+    j = draw(st.integers(0, len(pts) - 1))
+    diff = pts[i] - pts[j]
+    return pts, math.sqrt(float(np.einsum("i,i->", diff, diff)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(clouds_and_tie_radius())
+def test_query_and_graph_match_oracle_at_pair_distances(case):
+    # the tree's distances decide pairs well inside the radius; every pair
+    # near it, an exact tie included, must still follow the einsum
+    pts, radius = case
+    for r in (radius, float(np.nextafter(radius, 0.0))):
+        if r > 0.0:
+            assert_matches_oracle(pts, r)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e145, 1e150])
+def test_query_matches_oracle_where_squares_leave_normal_range(scale):
+    # r*r underflows or nears overflow here, so every candidate is
+    # measured with the einsum
+    rng = np.random.default_rng(43)
+    pts = np.round(rng.uniform(-4, 4, (60, 2)) * 4) / 4 * scale
+    for k in (1, 7, 19):
+        diff = pts[0] - pts[k]
+        radius = math.sqrt(float(np.dot(diff, diff)))
+        for r in (radius, float(np.nextafter(radius, 0.0))):
+            if r > 0.0:
+                assert_matches_oracle(pts, r)
