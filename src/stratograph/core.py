@@ -1,11 +1,12 @@
 """Domain types: point clouds, abstract/embedded graphs, stratifications.
 
-Values are immutable after construction (arrays are frozen), so they can be
-shared freely across threads.  ``PointCloud`` construction is deliberately
-permissive: malformed inputs are representable so that ``validate_cloud``
-can report what is wrong instead of crashing; pipeline operations require a
-valid cloud and raise otherwise.  ``Stratification`` holds the sample
-partition, as cluster tuples and as one cluster id per point.
+Values are immutable after construction (inputs are copied into frozen
+arrays), so they can be shared freely across threads.  ``PointCloud``
+construction is deliberately permissive: malformed inputs are representable
+so that ``validate_cloud`` can report what is wrong instead of crashing;
+pipeline operations require a valid cloud and raise otherwise.
+``Stratification`` holds the sample partition, as cluster tuples and as
+one cluster id per point.
 """
 from __future__ import annotations
 
@@ -19,6 +20,12 @@ import numpy as np
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[k], b[k])`` for each row k, to the last bit: every product is
+    one BLAS dot, as in ``np.dot``; a row-wise ``einsum`` rounds otherwise."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _equal_rows(arr: np.ndarray):
@@ -36,28 +43,34 @@ class PointCloud:
     epsilon of the underlying space and every location of the space has a
     sample within epsilon.  It is always supplied by the caller, never
     estimated from the data.
+
+    Coordinates are one frozen flat array (``array`` is a view of it) plus
+    each point's count; ragged rows are kept for ``validate_cloud`` to name.
     """
 
     def __init__(self, points, epsilon: float, ambient_dim: Optional[int] = None):
-        pts = [np.asarray(p, dtype=float).reshape(-1) for p in points]
-        for p in pts:
-            _freeze(p)
-        self._points = tuple(pts)
+        try:
+            rows = np.array(points, dtype=float)
+            flat = rows.reshape(-1)
+            lens = np.broadcast_to(flat.size // max(len(rows), 1), len(rows))
+        except (TypeError, ValueError):  # ragged rows, or an iterator
+            rows = [np.asarray(p, dtype=float).reshape(-1) for p in points]
+            flat = np.concatenate(rows)
+            lens = np.array([len(p) for p in rows], dtype=np.int64)
+        self._flat, self._lens = _freeze(flat), lens
         self.epsilon = float(epsilon)
-        if ambient_dim is not None:
-            self.ambient_dim = int(ambient_dim)
-        elif pts:
-            self.ambient_dim = len(pts[0])
-        else:
-            self.ambient_dim = 0
+        self.ambient_dim = (int(ambient_dim) if ambient_dim is not None
+                            else int(lens[0]) if len(lens) else 0)
         self._array: Optional[np.ndarray] = None
 
     @property
     def points(self):
-        return self._points
+        """The points, one frozen 1-D view of the coordinates each."""
+        ends = np.cumsum(self._lens)
+        return tuple(np.split(self._flat, ends[:-1])) if len(ends) else ()
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._lens)
 
     @property
     def array(self) -> np.ndarray:
@@ -66,7 +79,7 @@ class PointCloud:
             report, arr = _validate(self)
             if not report.valid:
                 raise ValueError("invalid point cloud: " + "; ".join(report.findings))
-            self._array = _freeze(arr)
+            self._array = arr
         return self._array
 
     def __eq__(self, other) -> bool:
@@ -74,9 +87,8 @@ class PointCloud:
             return NotImplemented
         return (self.epsilon == other.epsilon
                 and self.ambient_dim == other.ambient_dim
-                and len(self) == len(other)
-                and all(a.shape == b.shape and np.array_equal(a, b)
-                        for a, b in zip(self._points, other._points)))
+                and np.array_equal(self._lens, other._lens)
+                and np.array_equal(self._flat, other._flat))
 
     def __repr__(self) -> str:
         return (f"PointCloud(n={len(self)}, ambient_dim={self.ambient_dim}, "
@@ -108,15 +120,10 @@ def validate_cloud(cloud: PointCloud) -> ValidationReport:
 
 
 def _validate(cloud: PointCloud):
-    """``(report, array)``: the report of ``validate_cloud`` and, when every
-    point has ``ambient_dim`` coordinates, the points stacked as an
-    (n_points, ambient_dim) array, else None.
-
-    The points are concatenated once; lengths and finiteness are checked
-    on the whole stack, and findings are listed in index order.
-    """
-    findings = []
-    warnings = []
+    """``(report, array)``: the report of ``validate_cloud``, findings in
+    index order, and, when every point has ``ambient_dim`` coordinates, the
+    (n_points, ambient_dim) view of the cloud's flat array, else None."""
+    findings, warnings = [], []
     if not np.isfinite(cloud.epsilon) or cloud.epsilon <= 0.0:
         findings.append("epsilon must be positive")
     n = len(cloud)
@@ -126,8 +133,7 @@ def _validate(cloud: PointCloud):
     if cloud.ambient_dim < 1:
         findings.append(f"points need at least one coordinate, "
                         f"ambient_dim is {cloud.ambient_dim}")
-    lens = np.fromiter(map(len, cloud.points), dtype=np.int64, count=n)
-    flat = np.concatenate(cloud.points)
+    lens, flat = cloud._lens, cloud._flat
     nonfinite = np.bincount(np.repeat(np.arange(n), lens)[~np.isfinite(flat)],
                             minlength=n) > 0
     wrong = lens != cloud.ambient_dim
@@ -180,11 +186,8 @@ class AbstractGraph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.vertex_count, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        ends = np.array(self.edges, dtype=int).reshape(-1)
+        return np.bincount(ends, minlength=self.vertex_count)
 
     def adjacency_sets(self):
         adj = [set() for _ in range(self.vertex_count)]
@@ -219,10 +222,10 @@ class EmbeddedGraph:
         return self.vertex_positions.shape[1]
 
     def edge_lengths(self) -> np.ndarray:
-        out = np.empty(len(self.graph.edges))
-        for k, (i, j) in enumerate(self.graph.edges):
-            out[k] = np.linalg.norm(self.vertex_positions[i] - self.vertex_positions[j])
-        return out
+        """``np.linalg.norm(pos[i] - pos[j])`` of every edge (i, j), to the last bit."""
+        ends = np.array(self.graph.edges, dtype=np.int64).reshape(-1, 2)
+        diff = self.vertex_positions[ends[:, 0]] - self.vertex_positions[ends[:, 1]]
+        return np.sqrt(row_dots(diff, diff))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EmbeddedGraph):

@@ -72,15 +72,3 @@ def dist_to_embedded_graph(points: np.ndarray, vertex_positions: np.ndarray,
         best = np.minimum(best, sq)
     return np.sqrt(best)
 
-
-def uniform_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """One draw from the uniform distribution on the closed ball of ``radius``."""
-    if radius == 0.0:
-        return np.zeros(dim)
-    direction = rng.standard_normal(dim)
-    norm = np.linalg.norm(direction)
-    while norm == 0.0:
-        direction = rng.standard_normal(dim)
-        norm = np.linalg.norm(direction)
-    r = radius * rng.random() ** (1.0 / dim)
-    return direction * (r / norm)

@@ -6,17 +6,22 @@ The sampling scheme places unperturbed sites at every vertex and along
 every edge at spacing at most s, then perturbs each site inside a ball of
 radius rho.  Coverage of the graph by sites is s/2, so the cloud is an
 eps-sample whenever s/2 + rho <= eps; the option invariants enforce that.
+
+Each site draws ``standard_normal(dim)`` (again while its norm is 0), then
+``random()``, from the stream of its vertex block or edge, in site order;
+the arithmetic is done per stream, to the last bit of a per-site one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .core import EmbeddedGraph, PointCloud
-from .geometry import dist_to_embedded_graph, uniform_ball
+from .core import EmbeddedGraph, PointCloud, row_dots
+from .geometry import dist_to_embedded_graph
 
 _MASK64 = (1 << 64) - 1
 # validate_epsilon_sample queries every _STRIDE-th point of each edge's
@@ -52,18 +57,25 @@ class SampleOptions:
         return SampleOptions(rho, s, int(self.seed) & _MASK64, self.include_vertices)
 
 
-def _edge_sites(a: np.ndarray, b: np.ndarray, spacing: float, interior_only: bool):
-    """Evenly spaced sites along segment b -> a, gap <= spacing.
-
-    The small relative slack keeps a segment whose length is an exact
-    multiple of the spacing from gaining a spurious extra subdivision.
-    """
-    length = float(np.linalg.norm(a - b))
-    if length == 0.0:
-        raise ValueError("zero-length edge")
-    m = max(1, math.ceil(length / spacing * (1.0 - 1e-12)))
-    ks = range(1, m) if interior_only else range(0, m + 1)
-    return [(k / m) * a + (1.0 - k / m) * b for k in ks]
+def _ball_offsets(rng, count: int, dim: int, radius: float) -> np.ndarray:
+    """``count`` draws in a row from the uniform distribution on the closed
+    ball of ``radius``, one per row."""
+    if radius == 0.0 or count == 0:
+        return np.zeros((count, dim))
+    state = rng.bit_generator.state
+    draws = [(rng.standard_normal(dim), rng.random()) for _ in range(count)]
+    directions = np.array([d for d, _ in draws])
+    if not row_dots(directions, directions).all():
+        # a direction of norm 0 is drawn again before its radius
+        rng.bit_generator.state = state
+        draws = []
+        while len(draws) < count:
+            direction = rng.standard_normal(dim)
+            if np.linalg.norm(direction) != 0.0:
+                draws.append((direction, rng.random()))
+        directions = np.array([d for d, _ in draws])
+    radii = np.array([radius * u ** (1.0 / dim) for _, u in draws])
+    return directions * (radii / np.sqrt(row_dots(directions, directions)))[:, None]
 
 
 def sample_graph(graph: EmbeddedGraph, epsilon: float,
@@ -74,29 +86,30 @@ def sample_graph(graph: EmbeddedGraph, epsilon: float,
     Reproducible: noise for the vertex block and for each edge comes from
     its own seeded stream, so the result does not depend on traversal
     order.  Isolated vertices always receive a site even when
-    include_vertices is off, otherwise they could never be covered.
+    include_vertices is off, otherwise they could never be covered; the
+    other vertices still draw their noise, so the streams do not shift.
     """
     if epsilon <= 0.0 or not np.isfinite(epsilon):
         raise ValueError("epsilon must be positive")
     opt = (options or SampleOptions()).resolve(epsilon)
     pos = graph.vertex_positions
     dim = graph.ambient_dim
-    degrees = graph.graph.degrees()
+    keep = opt.include_vertices | (graph.graph.degrees() == 0)
 
-    points = []
     vrng = np.random.default_rng([opt.seed, 0])
-    for v in range(len(pos)):
-        if opt.include_vertices or degrees[v] == 0:
-            points.append(pos[v] + uniform_ball(vrng, dim, opt.noise_radius))
-        else:
-            uniform_ball(vrng, dim, opt.noise_radius)
-
+    blocks = [(pos + _ball_offsets(vrng, len(pos), dim, opt.noise_radius))[keep]]
+    lengths = graph.edge_lengths()
+    if not lengths.all():
+        raise ValueError("zero-length edge")
     for e_idx, (i, j) in enumerate(graph.graph.edges):
+        # sites along pos[j] -> pos[i], gap <= spacing; the slack keeps a
+        # length that is a multiple of it from gaining a spurious subdivision
+        m = max(1, math.ceil(lengths[e_idx] / opt.spacing * (1.0 - 1e-12)))
+        t = (np.arange(1, m) if opt.include_vertices else np.arange(m + 1)) / m
+        sites = t[:, None] * pos[i] + (1.0 - t)[:, None] * pos[j]
         erng = np.random.default_rng([opt.seed, 1, e_idx])
-        for site in _edge_sites(pos[i], pos[j], opt.spacing, opt.include_vertices):
-            points.append(site + uniform_ball(erng, dim, opt.noise_radius))
-
-    return PointCloud(points, epsilon, ambient_dim=dim)
+        blocks.append(sites + _ball_offsets(erng, len(sites), dim, opt.noise_radius))
+    return PointCloud(np.concatenate(blocks), epsilon, ambient_dim=dim)
 
 
 def _require_positive(name: str, value) -> None:
@@ -162,9 +175,8 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
         raise ValueError("cloud and graph ambient dimensions differ")
 
     edges = graph.graph.edges
-    ii = np.array([i for i, _ in edges], dtype=np.int64)
-    jj = np.array([j for _, j in edges], dtype=np.int64)
-    lengths = np.array([float(np.linalg.norm(pos[i] - pos[j])) for i, j in edges])
+    ii, jj = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    lengths = graph.edge_lengths()
     m = np.maximum(1, np.ceil(lengths / resolution)).astype(np.int64)
     # knots: k = 0, _STRIDE, 2*_STRIDE, ... < m, and m, on every edge
     per_edge = (m - 1) // _STRIDE + 2
@@ -233,19 +245,16 @@ def check_assumptions(graph: EmbeddedGraph, epsilon: float) -> AssumptionReport:
     pos = graph.vertex_positions
     adjacency = graph.graph.adjacency_sets()
 
-    min_angle = math.inf
-    notes = []
-    for v, nbrs in enumerate(adjacency):
-        if len(nbrs) < 2:
-            notes.append(f"vertex {v} has degree {len(nbrs)}: no incident angle")
-            continue
-        nbrs = sorted(nbrs)
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                u = pos[nbrs[ai]] - pos[v]
-                w = pos[nbrs[bi]] - pos[v]
-                cosang = float(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)))
-                min_angle = min(min_angle, math.acos(min(1.0, max(-1.0, cosang))))
+    notes = [f"vertex {v} has degree {len(nbrs)}: no incident angle"
+             for v, nbrs in enumerate(adjacency) if len(nbrs) < 2]
+    # every pair of neighbours (a, b) of every vertex v, a < b
+    vab = np.array([(v, a, b) for v, nbrs in enumerate(adjacency)
+                    for a, b in combinations(sorted(nbrs), 2)],
+                   dtype=np.int64).reshape(-1, 3)
+    u, w = pos[vab[:, 1]] - pos[vab[:, 0]], pos[vab[:, 2]] - pos[vab[:, 0]]
+    cosines = row_dots(u, w) / (np.sqrt(row_dots(u, u)) * np.sqrt(row_dots(w, w)))
+    min_angle = min((math.acos(min(1.0, max(-1.0, c))) for c in cosines.tolist()),
+                    default=math.inf)
 
     lengths = graph.edge_lengths()
     min_len = float(np.min(lengths)) / epsilon if len(lengths) else math.inf
@@ -253,11 +262,11 @@ def check_assumptions(graph: EmbeddedGraph, epsilon: float) -> AssumptionReport:
     min_sep = math.inf
     if len(pos) > 1:
         # the tree's closest pair bounds the separation; the pairs within
-        # that bound, widened by _ROUNDING, are measured with np.linalg.norm
+        # that bound, widened by _ROUNDING, are measured as by np.linalg.norm
         tree = cKDTree(pos)
         bound = np.min(tree.query(pos, k=2)[0][:, 1]) * (1.0 + _ROUNDING)
-        min_sep = min(float(np.linalg.norm(pos[i] - pos[j])) for i, j in
-                      tree.query_pairs(bound, output_type="ndarray").tolist()) / epsilon
+        diff = np.subtract(*pos[tree.query_pairs(bound, output_type="ndarray").T])
+        min_sep = float(np.sqrt(np.min(row_dots(diff, diff)))) / epsilon
 
     violations = []
     if min_angle < math.pi / 6.0:

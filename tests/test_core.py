@@ -21,6 +21,23 @@ def test_cloud_array_is_readonly():
         cloud.array[0, 0] = 5.0
 
 
+def test_cloud_copies_its_input_array():
+    # the cloud keeps its own copy: later writes to the caller's array
+    # reach neither points, array nor equality
+    source = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    cloud = PointCloud(source, 0.1)
+    twin = PointCloud(source.copy(), 0.1)
+    cloud.array
+    for k, value in ((1, 5.0), (2, 7.0)):
+        source[k, 0] = value
+        assert [p.tolist() for p in cloud.points] == [[0, 0], [1, 0], [0, 1]]
+        assert cloud.array.tolist() == [[0, 0], [1, 0], [0, 1]]
+        assert cloud == twin
+    with pytest.raises(ValueError):
+        cloud.points[0][0] = 5.0
+    assert PointCloud((p for p in source), 0.1).array.tolist() == source.tolist()
+
+
 def test_validate_cloud_accepts_wellformed():
     report = validate_cloud(PointCloud([(0, 0), (1, 0), (0, 1)], 0.1))
     assert report.valid
@@ -140,6 +157,19 @@ def test_embedded_graph_shape_checks():
     assert emb.edge_lengths() == (5.0,)
     with pytest.raises(ValueError):
         EmbeddedGraph(g, [(0, 0)])
+
+
+def test_edge_lengths_match_per_edge_norm_bitwise():
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        k, dim = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        pos = rng.normal(0.0, 10.0 ** rng.integers(-6, 7), (k, dim))
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.4]
+        emb = EmbeddedGraph(AbstractGraph(k, pairs), pos)
+        want = [np.linalg.norm(pos[i] - pos[j]) for i, j in emb.graph.edges]
+        got = emb.edge_lengths()
+        assert got.shape == (len(pairs),)
+        assert got.view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
 def test_dimension_labels_validate_values():

@@ -1,5 +1,6 @@
 """Certified sample generation and geometric assumption checking."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,138 @@ def lattice_graph(side=3, step=4.0):
     edges += [(index[r, c], index[r + 1, c]) for r in range(side - 1) for c in range(side)]
     return EmbeddedGraph(AbstractGraph(side * side, edges),
                          [(step * c, step * r) for r in range(side) for c in range(side)])
+
+
+def uniform_ball(rng, dim, radius):
+    """One draw from the uniform distribution on the closed ball of ``radius``."""
+    if radius == 0.0:
+        return np.zeros(dim)
+    direction = rng.standard_normal(dim)
+    norm = np.linalg.norm(direction)
+    while norm == 0.0:
+        direction = rng.standard_normal(dim)
+        norm = np.linalg.norm(direction)
+    r = radius * rng.random() ** (1.0 / dim)
+    return direction * (r / norm)
+
+
+def sample_per_site(graph, epsilon, options=None):
+    """Reference for sample_graph's coordinates: every site built and
+    perturbed on its own, with one uniform_ball call."""
+    opt = (options or SampleOptions()).resolve(epsilon)
+    pos = graph.vertex_positions
+    dim = graph.ambient_dim
+    degrees = graph.graph.degrees()
+    points = []
+    vrng = np.random.default_rng([opt.seed, 0])
+    for v in range(len(pos)):
+        offset = uniform_ball(vrng, dim, opt.noise_radius)
+        if opt.include_vertices or degrees[v] == 0:
+            points.append(pos[v] + offset)
+    for e_idx, (i, j) in enumerate(graph.graph.edges):
+        erng = np.random.default_rng([opt.seed, 1, e_idx])
+        a, b = pos[i], pos[j]
+        length = float(np.linalg.norm(a - b))
+        m = max(1, math.ceil(length / opt.spacing * (1.0 - 1e-12)))
+        for k in range(1, m) if opt.include_vertices else range(m + 1):
+            site = (k / m) * a + (1.0 - k / m) * b
+            points.append(site + uniform_ball(erng, dim, opt.noise_radius))
+    return np.array(points).reshape(len(points), dim)
+
+
+def path_graph(positions):
+    return EmbeddedGraph(AbstractGraph(len(positions), [(k, k + 1) for k in
+                                                        range(len(positions) - 1)]),
+                         positions)
+
+
+def _sampler_cases():
+    five_2d = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_2D)
+    five_3d = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_3D)
+    # vertex 3 is isolated and keeps its site without include_vertices
+    isolated = EmbeddedGraph(AbstractGraph(4, [(0, 1), (1, 2)]),
+                             [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (-5.0, 1.0)])
+    return [
+        (five_2d, SampleOptions()),
+        (five_3d, SampleOptions()),
+        (lattice_graph(), SampleOptions()),
+        (path_graph([(0.0,), (3.0,), (7.3,)]), SampleOptions()),
+        (path_graph(np.random.default_rng(2).normal(0.0, 3.0, (4, 4))), SampleOptions()),
+        (isolated, SampleOptions(include_vertices=False)),
+        (five_2d, SampleOptions(noise_radius=0.0)),
+        (five_3d, SampleOptions(noise_radius=0.09, spacing=0.017)),
+    ]
+
+
+def assert_same_bits(cloud, want):
+    got = cloud.array
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("case", range(len(_sampler_cases())))
+def test_sample_graph_matches_per_site_reference_bitwise(case):
+    truth, options = _sampler_cases()[case]
+    for seed in range(20):
+        opts = SampleOptions(options.noise_radius, options.spacing, seed,
+                             options.include_vertices)
+        assert_same_bits(sample_graph(truth, EPS, opts),
+                         sample_per_site(truth, EPS, opts))
+
+
+class ZeroFirstNormal:
+    """``np.random.default_rng(seed)``, except that its first standard_normal
+    draw is replaced by zeros; its state covers both."""
+
+    def __init__(self, make, seed):
+        self.rng = make(seed)
+        self.zeros_left = 1
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.zeros_left, self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.zeros_left, self.rng.bit_generator.state = value
+
+    def standard_normal(self, size):
+        draw = self.rng.standard_normal(size)
+        if self.zeros_left:
+            self.zeros_left -= 1
+            return np.zeros(size)
+        return draw
+
+    def random(self):
+        return self.rng.random()
+
+
+def test_sample_graph_redraws_zero_direction_like_reference(monkeypatch):
+    # every stream's first direction has norm 0 and is drawn again
+    truth = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_2D)
+    plain = sample_graph(truth, EPS, SampleOptions(seed=3))
+    make = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: ZeroFirstNormal(make, seed))
+    cloud = sample_graph(truth, EPS, SampleOptions(seed=3))
+    assert_same_bits(cloud, sample_per_site(truth, EPS, SampleOptions(seed=3)))
+    assert len(cloud) == len(plain) and cloud != plain
+
+
+def test_sampled_cloud_retains_only_its_coordinates():
+    # the cloud keeps one flat float array; one array per point would
+    # retain about 15 times its coordinate bytes
+    truth = lattice_graph(8)
+    sample_graph(truth, EPS)
+    tracemalloc.start()
+    try:
+        cloud = sample_graph(truth, EPS, SampleOptions(seed=1))
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cloud) > 8000
+    assert retained <= 1.5 * len(cloud) * cloud.ambient_dim * 8
 
 
 def test_options_defaults_resolve_to_half_epsilon():
@@ -214,6 +347,66 @@ def test_vertex_separation_matches_pair_loop_bitwise():
         emb = EmbeddedGraph(AbstractGraph(len(pos)), pos)
         got = check_assumptions(emb, 0.1).min_vertex_separation
         assert got == separation_per_pair(emb.vertex_positions, 0.1)
+
+
+def assumptions_per_pair(graph, epsilon):
+    """Reference of check_assumptions: loops over the neighbour pairs of
+    every vertex, over the edges and over the vertex pairs."""
+    pos = graph.vertex_positions
+    min_angle = math.inf
+    notes = []
+    for v, nbrs in enumerate(graph.graph.adjacency_sets()):
+        if len(nbrs) < 2:
+            notes.append(f"vertex {v} has degree {len(nbrs)}: no incident angle")
+            continue
+        nbrs = sorted(nbrs)
+        for ai in range(len(nbrs)):
+            for bi in range(ai + 1, len(nbrs)):
+                u = pos[nbrs[ai]] - pos[v]
+                w = pos[nbrs[bi]] - pos[v]
+                cosang = float(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)))
+                min_angle = min(min_angle, math.acos(min(1.0, max(-1.0, cosang))))
+    lengths = [float(np.linalg.norm(pos[i] - pos[j])) for i, j in graph.graph.edges]
+    min_len = min(lengths) / epsilon if lengths else math.inf
+    min_sep = separation_per_pair(pos, epsilon)
+    violations = []
+    if min_angle < math.pi / 6.0:
+        violations.append(f"min incident angle {min_angle:.4f} rad < pi/6")
+    if min_len < 30.0:
+        violations.append(f"min edge length {min_len:.2f} eps < 30 eps")
+    if min_sep < 20.0:
+        violations.append(f"min vertex separation {min_sep:.2f} eps < 20 eps")
+    return (min_angle, min_len, min_sep, not violations, tuple(violations), tuple(notes))
+
+
+def _assumption_graphs():
+    yield EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_2D)
+    yield EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_3D)
+    yield lattice_graph(6, 0.7)
+    rng = np.random.default_rng(43)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 9))
+    yield EmbeddedGraph(AbstractGraph(10, [(0, k) for k in range(1, 10)]),
+                        [(0.0, 0.0)] + [(math.cos(a), math.sin(a)) for a in angles])
+    # collinear: straight angles, and a hub whose two neighbours lie on
+    # one side of it, where rounding can push the cosine past 1
+    yield path_graph([(0.1 * k, 0.3 * k) for k in range(7)])
+    yield EmbeddedGraph(AbstractGraph(3, [(0, 1), (0, 2)]),
+                        [(0.1, 0.3), (0.2, 0.6), (0.7, 2.1)])
+    for _ in range(60):
+        k, dim = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+        pos = rng.normal(0.0, 10.0 ** rng.integers(-4, 5), (k, dim))
+        pairs = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.5]
+        yield EmbeddedGraph(AbstractGraph(k, pairs), pos)
+
+
+def test_check_assumptions_matches_per_pair_reference_bitwise():
+    for graph in _assumption_graphs():
+        r = check_assumptions(graph, 0.01)
+        got = (r.min_incident_angle, r.min_edge_length, r.min_vertex_separation,
+               r.passed, r.violations, r.notes)
+        assert got == assumptions_per_pair(graph, 0.01)
+        assert np.array(got[:3]).view(np.uint64).tolist() == \
+            np.array(assumptions_per_pair(graph, 0.01)[:3]).view(np.uint64).tolist()
 
 
 def test_check_assumptions_acceptance_embeddings_pass(truth_2d, truth_3d):
