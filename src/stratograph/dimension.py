@@ -25,13 +25,8 @@ flags per pair, its working set is bounded by one block, and so by a
 fixed share of the CSR the graph holds.
 
 The angle test (c) runs batched over a block: centroids come from one
-sum per (ball, component), cosines and norms from one pass.  The batch
-decides a sample only when its cosine is further from the threshold's
-than a bound on the rounding in both its own arithmetic and
-``angle_test``'s, and both centroid norms clear the degenerate limit by
-that bound; the bound grows with the component sizes, the coordinate
-magnitude and the inverse centroid norms.  Every other sample goes to
-``angle_test`` itself, so the labels are those of the per-ball reference.
+sum per (ball, component), norms and dots from one pass.  The batch is
+the definition and ``angle_test`` is its one-query case.
 
 All thresholds live in ``ClassifierParams`` so experiments can probe them;
 the defaults are the operating values above.
@@ -43,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DimensionLabels, PointCloud
+from .core import DimensionLabels, PointCloud, row_dots
 from .geometry import sq_dists
 from .neighbors import NeighborhoodGraph, _min_labels
 
@@ -105,17 +100,33 @@ def angle_test(q, comp_a: np.ndarray, comp_b: np.ndarray,
     The comparison happens on cosines (monotone equivalent of comparing
     the arccosine of the clamped normalized dot product), so an angle
     exactly at the threshold is classified 1: equality is not "less than".
-    A centroid coinciding with q is degenerate and yields 0.
+    A centroid within ``_DEGENERATE`` of q is degenerate and yields 0.
     """
-    q = np.asarray(q, dtype=float)
-    ca = np.mean(np.atleast_2d(comp_a), axis=0) - q
-    cb = np.mean(np.atleast_2d(comp_b), axis=0) - q
-    na = float(np.linalg.norm(ca))
-    nb = float(np.linalg.norm(cb))
-    if na < _DEGENERATE or nb < _DEGENERATE:
-        return 0
-    cos_angle = min(1.0, max(-1.0, float(np.dot(ca, cb)) / (na * nb)))
-    return 0 if cos_angle > math.cos(angle_threshold) else 1
+    comp_a = np.atleast_2d(np.asarray(comp_a, dtype=float))
+    comp_b = np.atleast_2d(np.asarray(comp_b, dtype=float))
+    side = np.repeat([0, 1], [len(comp_a), len(comp_b)])
+    q = np.asarray(q, dtype=float)[None]
+    return int(_spans(np.concatenate([comp_a, comp_b]), side, q, angle_threshold)[0])
+
+
+def _spans(coords: np.ndarray, group: np.ndarray, q: np.ndarray,
+           angle_threshold: float) -> np.ndarray:
+    """``angle_test`` for each row k of ``q``, whose two components are the
+    rows of ``coords`` in groups 2k and 2k + 1.
+
+    Each centroid is its group's sum in row order over its size, as
+    ``np.mean`` takes it; norms and dots are BLAS dots, as ``np.linalg.norm``
+    and ``np.dot`` take them.
+    """
+    size = np.bincount(group, minlength=2 * len(q))
+    sums = np.stack([np.bincount(group, weights=coords[:, c], minlength=len(size))
+                     for c in range(coords.shape[1])], axis=1)
+    cent = (sums / size[:, None]).reshape(len(q), 2, -1) - q[:, None]
+    ca, cb = cent[:, 0], cent[:, 1]
+    na, nb = np.sqrt(row_dots(ca, ca)), np.sqrt(row_dots(cb, cb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sharp = row_dots(ca, cb) / (na * nb) > math.cos(angle_threshold)
+    return np.where(sharp | (na < _DEGENERATE) | (nb < _DEGENERATE), 0, 1)
 
 
 def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
@@ -150,54 +161,21 @@ def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
 
 def _angle_labels(pts: np.ndarray, queries: np.ndarray, flat: np.ndarray,
                   owner: np.ndarray, annulus: np.ndarray, lab: np.ndarray,
-                  angle_threshold: float, scale: float) -> np.ndarray:
+                  angle_threshold: float) -> np.ndarray:
     """``angle_test`` for every query whose annulus has two components.
 
     ``annulus`` marks the annulus nodes of exactly those queries, in
-    order, and ``lab`` their component roots.  One pass sums each
-    component and takes norms and cosines for all queries at once.  A
-    query is decided here only when its cosine is further from the
-    threshold's than the rounding-error bound below, and both centroid
-    norms clear ``_DEGENERATE`` by it; ``angle_test`` decides the rest.
+    order, and ``lab`` their component roots.
     """
     nodes = np.flatnonzero(annulus)
     rank = np.cumsum(np.r_[True, owner[nodes[1:]] != owner[nodes[:-1]]]) - 1
     first = nodes[np.searchsorted(rank, np.arange(len(queries)))]
     group = 2 * rank + (lab[nodes] != first[rank])
-    size = np.bincount(group, minlength=2 * len(queries))
-    coords = pts[flat[nodes]]
-    sums = np.stack([np.bincount(group, weights=coords[:, c], minlength=len(size))
-                     for c in range(pts.shape[1])], axis=1)
-    cent = (sums / size[:, None]).reshape(len(queries), 2, -1) - pts[queries][:, None]
-    norm = np.sqrt(np.einsum("ijk,ijk->ij", cent, cent))
-    dot = np.einsum("ij,ij->i", cent[:, 0], cent[:, 1])
-    # A centroid of m points with coordinates of size <= scale is off the
-    # exact one by at most sqrt(d)*(m + 2)*u*scale, however it is summed,
-    # so twice that bounds its distance from angle_test's; err doubles it
-    # again and adds the rounding of either norm.  Moving a vector of norm
-    # n by e turns it by at most (pi/2)*e/n, and evaluating a cosine
-    # rounds it by at most (2d + 5)*u in either place.
-    dim = pts.shape[1]
-    u = np.finfo(float).eps / 2.0
-    err = (4.0 * math.sqrt(dim) * u * scale * (size + 3).reshape(norm.shape)
-           + 16.0 * u * norm)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cos = dot / (norm[:, 0] * norm[:, 1])
-        bound = 2.0 * (err / norm).sum(axis=1) + 16.0 * dim * u
-    cos_threshold = math.cos(angle_threshold)
-    sure = ((norm - err > _DEGENERATE).all(axis=1)
-            & (np.abs(cos - cos_threshold) > bound))
-    out = np.where(cos > cos_threshold, 0, 1)
-    for k in np.flatnonzero(~sure):
-        members = nodes[rank == k]
-        side = lab[members] == first[k]
-        out[k] = angle_test(pts[queries[k]], pts[flat[members[side]]],
-                            pts[flat[members[~side]]], angle_threshold)
-    return out
+    return _spans(pts[flat[nodes]], group, pts[queries], angle_threshold)
 
 
 def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
-                    pairs, params: ClassifierParams, scale: float) -> np.ndarray:
+                    pairs, params: ClassifierParams) -> np.ndarray:
     """Labels of ``queries``, whose local balls are ``balls = (sizes, flat)``.
 
     The members of all balls are laid out in ``flat`` one ball after
@@ -241,7 +219,7 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
     two = n_ann == 2
     if two.any():
         out[two] = _angle_labels(pts, queries[two], flat, owner, annulus & two[owner],
-                                 lab, params.angle_threshold, scale)
+                                 lab, params.angle_threshold)
 
     ball_test = out == 0
     if ball_test.any():
@@ -260,8 +238,7 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     ball, if larger).  In each block the annulus test runs
     first, and the ball test only for samples whose annulus gives 0: the
     label is 1 when either test says 1, so the order cannot change it.
-    The angle test runs batched; ``angle_test`` itself decides only the
-    samples whose cosine or centroid norms lie within rounding of a limit.
+    The angle test runs batched, with ``angle_test``'s arithmetic.
     Components come from the pairs of the graph's CSR neighbours, tested
     with the same squared-distance comparison as the per-ball reference,
     or from ``graph.query`` when a threshold exceeds ``graph.radius``.
@@ -276,7 +253,6 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     nbrs = ((graph.indptr, graph.indices) if reach <= graph.radius
             else graph.query(pts, reach))
     pairs = _upper_pairs(pts, nbrs, params)
-    scale = float(np.max(np.abs(pts), initial=0.0))
     out = np.empty(n, dtype=int)
     sizes, flat = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     budget = max(_BLOCK_MEMBERS, 3 * n // 4)
@@ -293,7 +269,7 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
         used = int(members[take - 1])
         queries = np.arange(lo, lo + take)
         out[queries] = _classify_block(pts, queries, (sizes[:take], flat[:used]),
-                                       pairs, params, scale)
+                                       pairs, params)
         # nearby samples have similar balls: size the next block by these
         size = max(1, budget * take // used)
         sizes, flat, lo = sizes[take:], flat[used:], lo + take

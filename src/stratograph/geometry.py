@@ -15,32 +15,25 @@ def sq_dists(points: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def project_to_segment(p, a, b):
-    """Closest point of the segment [b, a] to p, in barycentric form.
+    """``project_many`` for one point and one segment.
 
-    The segment is parametrized as S(theta) = theta*a + (1-theta)*b with
-    theta in [0, 1], so theta = 1 lands on ``a``.  Returns
-    ``(theta, squared_distance, degenerate)`` where ``degenerate`` is True
-    iff ``a == b`` (then theta = 0 and the distance is to ``b``).
+    Returns ``(theta, squared_distance, degenerate)`` where ``degenerate``
+    is True iff the segment's squared length is 0 (then theta = 0 and the
+    distance is to ``b``).
     """
-    p = np.asarray(p, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    seg = a - b
-    denom = float(np.dot(seg, seg))
-    if denom == 0.0:
-        d = p - b
-        return 0.0, float(np.dot(d, d)), True
-    theta = float(np.dot(p - b, seg)) / denom
-    theta = min(1.0, max(0.0, theta))
-    r = p - (theta * a + (1.0 - theta) * b)
-    return theta, float(np.dot(r, r)), False
+    p, a, b = (np.asarray(v, dtype=float)[None] for v in (p, a, b))
+    theta, sq = project_many(p, a, b)
+    return float(theta[0]), float(sq[0]), bool(sq_dists(a, b)[0] == 0.0)
 
 
 def project_many(p: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Row-wise ``project_to_segment`` for stacked points/endpoints.
+    """Closest points of the segments [b, a] to p, row by row, in
+    barycentric form.
 
-    ``p``, ``a``, ``b`` are (m, n) arrays; returns (theta, sqdist) arrays of
-    length m.  Degenerate rows (a == b) get theta = 0.
+    Each segment is parametrized as S(theta) = theta*a + (1-theta)*b with
+    theta in [0, 1], so theta = 1 lands on ``a``.  ``p``, ``a``, ``b`` are
+    (m, n) arrays; returns (theta, sqdist) arrays of length m.  Degenerate
+    rows, whose segment has squared length 0, get theta = 0.
     """
     seg = a - b
     denom = np.einsum("ij,ij->i", seg, seg)

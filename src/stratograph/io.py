@@ -12,7 +12,8 @@ Formats:
       "iterations": ..., "converged": ..., "pinned": ..., "edges": ...}
 
 JSON writes are deterministic (sorted keys, repr-precision floats), so
-identical values produce identical bytes and round-trip exactly.
+identical values produce identical bytes and round-trip exactly.  Reads
+take indices, counts and flags only as JSON integers and booleans.
 """
 from __future__ import annotations
 
@@ -76,9 +77,27 @@ def _listed(value) -> list:
     return value
 
 
+def _strict(kind):
+    """A converter passing only JSON values of exactly ``kind``: a bool is no int."""
+    def check(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+    return check
+
+
+_index, _flag = _strict(int), _strict(bool)
+
+
 def _numbers(path: str, key: str, value, kind=float) -> list:
     """``kind`` of each entry of the JSON array ``value``."""
     return _convert(path, key, value, lambda v: [kind(x) for x in _listed(v)])
+
+
+def _index_lists(path: str, key: str, value) -> list:
+    """The JSON array ``value`` of arrays of integers, such as index pairs."""
+    return _convert(path, key, value,
+                    lambda v: [[_index(x) for x in _listed(row)] for row in _listed(v)])
 
 
 def _sidecar(path: str) -> str:
@@ -175,8 +194,9 @@ def read_embedded_graph(path: str) -> EmbeddedGraph:
 def _embedded_graph(data: dict, path: str) -> EmbeddedGraph:
     _require(data, path, "vertices", "edges")
     positions = _parse_points(data["vertices"], path, "vertices")
+    edges = _index_lists(path, "edges", data["edges"])
     try:
-        graph = AbstractGraph(len(positions), data["edges"])
+        graph = AbstractGraph(len(positions), edges)
         return EmbeddedGraph(graph, positions)
     except (ValueError, TypeError, IndexError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -189,12 +209,13 @@ def write_embedded_graph(graph: EmbeddedGraph, path: str):
 
 def read_stratification(path: str) -> Stratification:
     data = _load_json(path, "labels", "vertex_clusters", "edge_clusters", "incidence")
+    parts = [_index_lists(path, key, data[key])
+             for key in ("vertex_clusters", "edge_clusters", "incidence")]
     try:
-        strat = Stratification(data["vertex_clusters"], data["edge_clusters"],
-                               data["incidence"])
+        strat = Stratification(*parts)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if _numbers(path, "labels", data["labels"], int) != strat.labels().labels.tolist():
+    if _numbers(path, "labels", data["labels"], _index) != strat.labels().labels.tolist():
         raise FormatError(f"{path}: labels disagree with the clusters")
     return strat
 
@@ -218,11 +239,11 @@ def _fit_result(data: dict, path: str) -> FitResult:
                                   dtype=float),
         thetas=np.array(_numbers(path, "thetas", data["thetas"])),
         objective_trace=tuple(_numbers(path, "objective", data["objective"])),
-        iterations=_convert(path, "iterations", data["iterations"], int),
-        converged=bool(data["converged"]),
-        pinned=tuple(_numbers(path, "pinned", data.get("pinned", []), int)),
+        iterations=_convert(path, "iterations", data["iterations"], _index),
+        converged=_convert(path, "converged", data["converged"], _flag),
+        pinned=tuple(_numbers(path, "pinned", data.get("pinned", []), _index)),
         edges=tuple(_convert(path, "edges", data.get("edges", []),
-                             lambda v: [(int(a), int(b)) for a, b in _listed(v)])))
+                             lambda v: [(_index(a), _index(b)) for a, b in _listed(v)])))
 
 
 def read_fitted(path: str) -> EmbeddedGraph:

@@ -241,6 +241,9 @@ GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
     ("fit.json", {**GOOD_FIT, "pinned": None}, "'pinned'"),
     ("fit.json", 5, "expected a JSON object"),
     ("strat.json", {**GOOD_STRAT, "labels": 5}, "'labels'"),
+    ("fit.json", {**GOOD_FIT, "converged": "false"}, "'converged'"),
+    ("strat.json", {**GOOD_STRAT, "vertex_clusters": [[0.0], [2]]},
+     "'vertex_clusters'"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_json_values_exit_2(tmp_path, capsys, segment_file, name,
                                      content, position):

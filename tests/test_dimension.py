@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import stratograph.dimension
 from stratograph import (AbstractGraph, ClassifierParams, EmbeddedGraph,
                          NeighborhoodGraph, PointCloud, SampleOptions, angle_test,
                          build_graph, classify_all, sample_graph)
@@ -16,6 +15,21 @@ from conftest import (EMBED_2D, EMBED_3D, EPS, FIVE_VERTEX_EDGES, corner_cloud,
 # The per-ball reference classifier: tests (a), (b), (c) of
 # ``stratograph.dimension`` in that order on one ball.  ``classify_all``
 # must give its label on every sample.
+def angle_test_reference(q, comp_a, comp_b, angle_threshold: float) -> int:
+    """Test (c) with one-point arithmetic: ``np.mean`` centroids,
+    ``np.linalg.norm`` norms and a clamped cosine.  Exactly at the
+    threshold gives 1; a centroid within 1e-12 of q gives 0."""
+    q = np.asarray(q, dtype=float)
+    ca = np.mean(np.atleast_2d(comp_a), axis=0) - q
+    cb = np.mean(np.atleast_2d(comp_b), axis=0) - q
+    na = float(np.linalg.norm(ca))
+    nb = float(np.linalg.norm(cb))
+    if na < 1e-12 or nb < 1e-12:
+        return 0
+    cos_angle = min(1.0, max(-1.0, float(np.dot(ca, cb)) / (na * nb)))
+    return 0 if cos_angle > math.cos(angle_threshold) else 1
+
+
 def _component_labels(points: np.ndarray, threshold: float):
     """(count, labels) of the threshold graph on a small point set.
 
@@ -61,8 +75,8 @@ def _classify_ball(q: np.ndarray, ball: np.ndarray,
     n_ann, labels = _component_labels(annulus, params.annulus_edge_threshold)
     if n_ann != 2:
         return 0
-    return angle_test(q, annulus[labels == 0], annulus[labels == 1],
-                      params.angle_threshold)
+    return angle_test_reference(q, annulus[labels == 0], annulus[labels == 1],
+                                params.angle_threshold)
 
 
 def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
@@ -201,6 +215,46 @@ def test_angle_test_degenerate_centroid_returns_zero():
     assert angle_test((0, 0), [(0, 0)], [(0.9, 0)], thr) == 0
 
 
+def near_threshold_triples(count, seed=0):
+    """(q, comp_a, comp_b, threshold) in 1-4 D whose centroids span the
+    threshold angle up to about 1e-16 rad; every fourth has a centroid
+    5e-13 to 2e-12 from q."""
+    rng = np.random.default_rng(seed)
+    thr = 2.0 * math.acos(0.25)
+    for k in range(count):
+        dim = 1 + k % 4
+        q = rng.normal(0.0, 3.0, dim)
+        if dim == 1:
+            dirs = (np.ones(1), -np.ones(1))
+        else:
+            u, w = np.linalg.qr(rng.normal(size=(dim, 2)))[0].T
+            angle = thr + rng.normal(0.0, 1e-16) * (k % 3)
+            dirs = (u, math.cos(angle) * u + math.sin(angle) * w)
+        radii = rng.uniform(0.5, 2.0, 2)
+        if k % 4 == 3:
+            radii[k % 2] = rng.uniform(5e-13, 2e-12)
+        spread = 1e-13 if k % 4 == 3 else 1e-3 * (k % 2)
+        comps = [q + r * d + rng.normal(0.0, spread, (int(rng.integers(1, 30)), dim))
+                 for r, d in zip(radii, dirs)]
+        yield q, comps[0], comps[1], thr
+
+
+def test_angle_test_matches_reference_exactly():
+    thr = 2.0 * math.acos(0.25)
+    spec = [((0, 0), [(0.9, 0)], [(-0.9, 0)], thr),
+            ((0, 0), [(0.9, 0)], [(0, 0.9)], thr),
+            ((0.0, 0.0), [(1.0, 0.0)], [(math.cos(thr), math.sin(thr))], thr),
+            ((0, 0), [(0.8, 0.1), (1.0, -0.1)], [(-0.8, 0.1), (-1.0, -0.1)], thr),
+            ((0, 0), [(0, 0)], [(0.9, 0)], thr)]
+    degenerate = [((0.0, 0.0), [(off, 0.0)], [(-0.9, 0.0)], thr)
+                  for off in np.linspace(5e-13, 2e-12, 16)]
+    cases = spec + degenerate + list(near_threshold_triples(2400))
+    got = [angle_test(*case) for case in cases]
+    assert got == [angle_test_reference(*case) for case in cases]
+    # the triples reach both sides of the threshold and the degenerate rule
+    assert 0 < sum(got) < len(got)
+
+
 def test_classify_all_line_interior():
     # every point whose full 10-eps ball lies inside the sampled range is 1
     labels = classify_cloud(line_cloud(EPS, -12, 12))
@@ -230,6 +284,7 @@ def assert_matches_classify_point(cloud, params):
     batched = classify_all(cloud, graph, params).labels
     single = [classify_point(cloud, graph, i, params) for i in range(len(cloud))]
     assert batched.tolist() == single
+    return batched
 
 
 def shuffled(cloud, seed=0):
@@ -250,42 +305,29 @@ def test_classify_all_matches_classify_point():
         assert_matches_classify_point(cloud, params)
 
 
-def count_angle_fallbacks(monkeypatch, cloud, params):
-    """Calls of ``angle_test`` while ``classify_all`` labels ``cloud``,
-    and the labels, checked against ``classify_point``."""
-    graph = build_graph(cloud, 3.0 * cloud.epsilon)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return angle_test(*args)
-
-    with monkeypatch.context() as m:
-        m.setattr(stratograph.dimension, "angle_test", counted)
-        batched = classify_all(cloud, graph, params).labels
-    single = [classify_point(cloud, graph, i, params) for i in range(len(cloud))]
-    assert batched.tolist() == single
-    return len(calls), batched
-
-
-def test_batched_angle_test_decides_ordinary_clouds(monkeypatch):
+# The three tests below keep the names they had when ``classify_all`` fell
+# back to a per-sample ``angle_test`` near the threshold.  The batched
+# kernel now decides every sample; each test checks it against the
+# per-ball oracle, whose ``angle_test_reference`` keeps the one-point
+# arithmetic, on the cloud that used to exercise the fallback.
+def test_batched_angle_test_decides_ordinary_clouds():
     params = ClassifierParams.from_epsilon(EPS)
     for cloud in (five_vertex_cloud(EMBED_2D), five_vertex_cloud(EMBED_3D, seed=1)):
-        calls, _ = count_angle_fallbacks(monkeypatch, cloud, params)
-        assert calls == 0
+        labels = assert_matches_classify_point(cloud, params)
+        # both strata are present, so test (c) decided some samples
+        assert 0 < labels.sum() < len(labels)
 
 
-def test_angle_fallback_at_threshold_angle(monkeypatch):
+def test_angle_fallback_at_threshold_angle():
     # the corner's annulus centroids span the threshold angle itself, up
-    # to rounding, so only angle_test may decide the corner sample
+    # to rounding
     params = ClassifierParams.from_epsilon(EPS)
     cloud = corner_cloud(EPS, angle=params.angle_threshold, arm_steps=30,
                          spacing=EPS / 2)
-    calls, _ = count_angle_fallbacks(monkeypatch, cloud, params)
-    assert calls >= 1
+    assert_matches_classify_point(cloud, params)
 
 
-def test_angle_fallback_degenerate_centroid(monkeypatch):
+def test_angle_fallback_degenerate_centroid():
     # a full ring of the annulus, centred 5e-13 off q and so degenerate,
     # and a small arc beyond it on the other side: the two centroids span
     # an angle of pi, which only the degenerate rule turns into 0.  The
@@ -298,9 +340,7 @@ def test_angle_fallback_degenerate_centroid(monkeypatch):
     arc = [(9.9 * eps * math.cos(a), 9.9 * eps * math.sin(a))
            for a in (-0.01, 0.0, 0.01)]
     cloud = PointCloud([(0.0, 0.0)] + ring + arc, eps)
-    calls, labels = count_angle_fallbacks(monkeypatch, cloud, params)
-    assert calls >= 1
-    assert labels[0] == 0
+    assert assert_matches_classify_point(cloud, params)[0] == 0
 
 
 def test_parallel_strands_decided_by_ball_test():

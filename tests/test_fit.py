@@ -101,6 +101,10 @@ def test_project_to_segment_degenerate_flag():
     assert degenerate
     assert theta == 0.0
     assert sq == pytest.approx(13.0)
+    # a segment whose squared length underflows to 0 is degenerate too
+    theta, sq, degenerate = project_to_segment((3.0, 4.0), (1e-170, 0.0),
+                                               (0.0, 0.0))
+    assert degenerate and theta == 0.0 and sq == 25.0
 
 
 def test_project_to_segment_grid_oracle():

@@ -1,5 +1,6 @@
 """Serialization round-trips and format errors."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,50 @@ def test_stratification_label_consistency_enforced(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(FormatError, match="labels"):
         read_stratification(str(path))
+
+
+FIT = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "thetas": [0.5], "objective": [1.0],
+       "iterations": 3, "converged": False, "pinned": [0], "edges": [[0, 1]]}
+STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
+         "edge_clusters": [[1]], "incidence": [[0, 1]]}
+GRAPH = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "edges": [[0, 1]]}
+READERS = {"fit": (read_fit_result, FIT), "strat": (read_stratification, STRAT),
+           "graph": (read_embedded_graph, GRAPH)}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("fit", "converged", "false"),
+    ("fit", "converged", 1.5),
+    ("fit", "converged", 0),
+    ("fit", "converged", None),
+    ("fit", "iterations", 3.7),
+    ("fit", "iterations", 3.0),
+    ("fit", "iterations", True),
+    ("fit", "iterations", "3"),
+    ("fit", "pinned", [0.0]),
+    ("fit", "pinned", [False]),
+    ("fit", "edges", [[0, 1.0]]),
+    ("fit", "edges", [["0", 1]]),
+    ("strat", "vertex_clusters", [[0.9], [1.2]]),
+    ("strat", "vertex_clusters", [[0], [True]]),
+    ("strat", "edge_clusters", [["1"]]),
+    ("strat", "incidence", [[0, 1.0]]),
+    ("strat", "incidence", [[False, 1]]),
+    ("strat", "labels", [0, 1.0, 0]),
+    ("strat", "labels", [False, True, False]),
+    ("graph", "edges", [[0.0, 1]]),
+    ("graph", "edges", [[0, True]]),
+])
+def test_wrongly_typed_values_are_format_errors(tmp_path, kind, key, value):
+    # indices and counts must be JSON integers and flags JSON booleans;
+    # nothing is coerced
+    read, good = READERS[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(good))
+    read(str(path))
+    path.write_text(json.dumps({**good, key: value}))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: '{key}'"):
+        read(str(path))
 
 
 def test_fit_result_roundtrip(tmp_path, truth_2d):

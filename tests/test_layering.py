@@ -1,5 +1,6 @@
 """Module layering: each module imports only the modules below it."""
 import ast
+import sys
 from pathlib import Path
 
 import stratograph
@@ -27,6 +28,18 @@ ALLOWED = {
 }
 
 
+# Modules outside the standard library that each module may import;
+# every module may import numpy.  Every import adds to the benchmark's
+# setup_s and peak_rss_mb, and those gate every change: importing
+# scipy.sparse.csgraph, for one, was measured at +2.3 MB of RSS and
+# 13-25 ms.  Widen this only with such a measurement.
+THIRD_PARTY = {
+    "neighbors": {"scipy.spatial"},
+    "sampler": {"scipy.spatial"},
+    "metrics": {"scipy.spatial.distance"},
+}
+
+
 def relative_imports(path: Path) -> set:
     found = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -47,3 +60,21 @@ def test_relative_imports_follow_the_layers():
         extra = relative_imports(path) - ALLOWED[path.stem]
         assert not extra, f"{path.name} imports {sorted(extra)}"
 
+
+
+def absolute_imports(path: Path) -> set:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+    return found
+
+
+def test_third_party_imports_are_allowlisted():
+    for path in sorted(SOURCES.glob("*.py")):
+        allowed = {"numpy"} | THIRD_PARTY.get(path.stem, set())
+        extra = {name for name in absolute_imports(path) - allowed
+                 if name.split(".")[0] not in sys.stdlib_module_names}
+        assert not extra, f"{path.name} imports {sorted(extra)}"
