@@ -141,6 +141,15 @@ def _theta_step(problem: FitProblem, x: np.ndarray, t: np.ndarray) -> np.ndarray
     return t
 
 
+def _row_sums(k: int, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``np.add.at`` of ``terms`` into ``rows`` of a k-row array, to the last
+    bit: ``np.bincount`` also adds each entry's terms in index order."""
+    out = np.zeros((k, terms.shape[1]))
+    for c, column in enumerate(terms.T):
+        out[:, c] = np.bincount(rows, column, minlength=k)
+    return out
+
+
 def _x_step(problem: FitProblem, t: np.ndarray, x_init: np.ndarray):
     """Exact minimizer over positions at fixed thetas.
 
@@ -149,21 +158,16 @@ def _x_step(problem: FitProblem, t: np.ndarray, x_init: np.ndarray):
     their initial position; their zero rows never couple to the rest.
     """
     pts = problem.cloud.array
-    k = problem.n_vertices
-    a = np.zeros((k, k))
-    b = np.zeros((k, pts.shape[1]))
-    if len(problem._d0):
-        np.add.at(a, (problem._d0v, problem._d0v), 1.0)
-        np.add.at(b, problem._d0v, pts[problem._d0])
-    if len(problem._d1):
-        c1 = t[problem._d1]
-        c2 = 1.0 - c1
-        np.add.at(a, (problem._e1, problem._e1), c1 * c1)
-        np.add.at(a, (problem._e2, problem._e2), c2 * c2)
-        np.add.at(a, (problem._e1, problem._e2), c1 * c2)
-        np.add.at(a, (problem._e2, problem._e1), c1 * c2)
-        np.add.at(b, problem._e1, c1[:, None] * pts[problem._d1])
-        np.add.at(b, problem._e2, c2[:, None] * pts[problem._d1])
+    k, v, e1, e2 = problem.n_vertices, problem._d0v, problem._e1, problem._e2
+    c1 = t[problem._d1]
+    c2 = 1.0 - c1
+    # kinds of term in a fixed order, that of the np.add.at oracle in tests
+    cells = np.concatenate([v, e1, e2, e1, e2]) * k + np.concatenate([v, e1, e2, e2, e1])
+    weights = np.concatenate([np.ones(len(v)), c1 * c1, c2 * c2, c1 * c2, c1 * c2])
+    a = np.bincount(cells, weights, minlength=k * k).reshape(k, k)
+    b = _row_sums(k, np.concatenate([v, e1, e2]),
+                  np.concatenate([pts[problem._d0], c1[:, None] * pts[problem._d1],
+                                  c2[:, None] * pts[problem._d1]]))
 
     free = np.diag(a) > 0.0
     x = x_init.copy()
@@ -180,22 +184,16 @@ def _x_step(problem: FitProblem, t: np.ndarray, x_init: np.ndarray):
 def _projected_gradient_norm(problem: FitProblem, x: np.ndarray, t: np.ndarray) -> float:
     """Norm of the gradient with box constraints on theta projected out."""
     r = _residuals(problem, x, t)
-    gx = np.zeros_like(x)
-    if len(problem._d0):
-        np.add.at(gx, problem._d0v, -2.0 * r[problem._d0])
-    total = 0.0
-    if len(problem._d1):
-        th = t[problem._d1]
-        rd = r[problem._d1]
-        np.add.at(gx, problem._e1, -2.0 * th[:, None] * rd)
-        np.add.at(gx, problem._e2, -2.0 * (1.0 - th)[:, None] * rd)
-        seg = x[problem._e1] - x[problem._e2]
-        gt = -2.0 * np.einsum("ij,ij->i", rd, seg)
-        gt = np.where((th <= 0.0) & (gt > 0.0), 0.0, gt)
-        gt = np.where((th >= 1.0) & (gt < 0.0), 0.0, gt)
-        total += float(np.dot(gt, gt))
-    total += float(np.sum(gx * gx))
-    return float(np.sqrt(total))
+    th = t[problem._d1]
+    rd = r[problem._d1]
+    gx = _row_sums(len(x), np.concatenate([problem._d0v, problem._e1, problem._e2]),
+                   np.concatenate([-2.0 * r[problem._d0], -2.0 * th[:, None] * rd,
+                                   -2.0 * (1.0 - th)[:, None] * rd]))
+    seg = x[problem._e1] - x[problem._e2]
+    gt = -2.0 * np.einsum("ij,ij->i", rd, seg)
+    gt = np.where((th <= 0.0) & (gt > 0.0), 0.0, gt)
+    gt = np.where((th >= 1.0) & (gt < 0.0), 0.0, gt)
+    return float(np.sqrt(float(np.dot(gt, gt)) + float(np.sum(gx * gx))))
 
 
 def fit(problem: FitProblem) -> FitResult:

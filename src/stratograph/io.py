@@ -100,6 +100,12 @@ def _index_lists(path: str, key: str, value) -> list:
                     lambda v: [[_index(x) for x in _listed(row)] for row in _listed(v)])
 
 
+def _index_pairs(path: str, key: str, value) -> list:
+    """The JSON array ``value`` of pairs of integers; a longer row is no pair."""
+    return _convert(path, key, value,
+                    lambda v: [(_index(a), _index(b)) for a, b in _listed(v)])
+
+
 def _sidecar(path: str) -> str:
     return path + ".meta.json"
 
@@ -194,7 +200,7 @@ def read_embedded_graph(path: str) -> EmbeddedGraph:
 def _embedded_graph(data: dict, path: str) -> EmbeddedGraph:
     _require(data, path, "vertices", "edges")
     positions = _parse_points(data["vertices"], path, "vertices")
-    edges = _index_lists(path, "edges", data["edges"])
+    edges = _index_pairs(path, "edges", data["edges"])
     try:
         graph = AbstractGraph(len(positions), edges)
         return EmbeddedGraph(graph, positions)
@@ -242,8 +248,7 @@ def _fit_result(data: dict, path: str) -> FitResult:
         iterations=_convert(path, "iterations", data["iterations"], _index),
         converged=_convert(path, "converged", data["converged"], _flag),
         pinned=tuple(_numbers(path, "pinned", data.get("pinned", []), _index)),
-        edges=tuple(_convert(path, "edges", data.get("edges", []),
-                             lambda v: [(_index(a), _index(b)) for a, b in _listed(v)])))
+        edges=tuple(_index_pairs(path, "edges", data.get("edges", []))))
 
 
 def read_fitted(path: str) -> EmbeddedGraph:

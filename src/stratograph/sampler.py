@@ -21,9 +21,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import EmbeddedGraph, PointCloud, row_dots
-from .geometry import dist_to_embedded_graph
+from .geometry import project_many, sq_dists
 
 _MASK64 = (1 << 64) - 1
+# sample_graph counts its sites before drawing any and refuses more than
+# this: its draws hold about 300 bytes per site, so about 300 MB here.
+_MAX_SITES = 1 << 20
 # validate_epsilon_sample queries every _STRIDE-th point of each edge's
 # resolution net first and fills in only where that cannot decide.
 _STRIDE = 16
@@ -31,6 +34,10 @@ _STRIDE = 16
 # coordinate and distance involved: about 1e4 roundings, far above the
 # error of the net points and of the distances.
 _ROUNDING = 1e-12
+# Net points or samples it takes per tree query, and the nearest knots it
+# asks for per sample, enough for a vertex of degree 5.
+_BLOCK = 1024
+_SLOTS = 6
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,8 @@ def sample_graph(graph: EmbeddedGraph, epsilon: float,
     order.  Isolated vertices always receive a site even when
     include_vertices is off, otherwise they could never be covered; the
     other vertices still draw their noise, so the streams do not shift.
+    A spacing that asks for more than ``_MAX_SITES`` sites is a ValueError,
+    raised before anything is drawn.
     """
     if epsilon <= 0.0 or not np.isfinite(epsilon):
         raise ValueError("epsilon must be positive")
@@ -96,15 +105,21 @@ def sample_graph(graph: EmbeddedGraph, epsilon: float,
     dim = graph.ambient_dim
     keep = opt.include_vertices | (graph.graph.degrees() == 0)
 
-    vrng = np.random.default_rng([opt.seed, 0])
-    blocks = [(pos + _ball_offsets(vrng, len(pos), dim, opt.noise_radius))[keep]]
     lengths = graph.edge_lengths()
     if not lengths.all():
         raise ValueError("zero-length edge")
+    # sites along pos[j] -> pos[i], gap <= spacing; the slack keeps a
+    # length that is a multiple of it from gaining a spurious subdivision
+    pieces = np.maximum(1.0, np.ceil(lengths / opt.spacing * (1.0 - 1e-12)))
+    n_sites = int(keep.sum()) + float(np.sum(pieces + (-1.0 if opt.include_vertices else 1.0)))
+    if not n_sites <= _MAX_SITES:
+        raise ValueError(f"spacing {opt.spacing} asks for {n_sites:.4g} sites, "
+                         f"more than the {_MAX_SITES} a cloud may have")
+
+    vrng = np.random.default_rng([opt.seed, 0])
+    blocks = [(pos + _ball_offsets(vrng, len(pos), dim, opt.noise_radius))[keep]]
     for e_idx, (i, j) in enumerate(graph.graph.edges):
-        # sites along pos[j] -> pos[i], gap <= spacing; the slack keeps a
-        # length that is a multiple of it from gaining a spurious subdivision
-        m = max(1, math.ceil(lengths[e_idx] / opt.spacing * (1.0 - 1e-12)))
+        m = int(pieces[e_idx])
         t = (np.arange(1, m) if opt.include_vertices else np.arange(m + 1)) / m
         sites = t[:, None] * pos[i] + (1.0 - t)[:, None] * pos[j]
         erng = np.random.default_rng([opt.seed, 1, e_idx])
@@ -118,14 +133,18 @@ def _require_positive(name: str, value) -> None:
 
 
 def _net_points(pos, ii, jj, m, edge, k):
-    """Points k of the resolution nets of the given edges.
-
-    Edge e = (ii[e], jj[e]) with m[e] = max(1, ceil(length/resolution))
-    has the net t*pos[ii[e]] + (1-t)*pos[jj[e]], t = k/m[e], k = 1..m-1;
-    k = 0 and k = m give its vertices.
-    """
+    """Points t*pos[ii[e]] + (1-t)*pos[jj[e]], t = k/m[e], of the edges e:
+    for m[e] = max(1, ceil(length/resolution)) and k = 1..m-1 the net of
+    edge (ii[e], jj[e]); k = 0 and k = m give its vertices."""
     t = (k / m[edge])[:, None]
     return t * pos[ii[edge]] + (1.0 - t) * pos[jj[edge]]
+
+
+def _runs(first, lo, hi):
+    """Run and rank of items lo..hi-1, where run r starts at item first[r]."""
+    item = np.arange(lo, hi)
+    run = np.searchsorted(first, item, "right") - 1
+    return run, item - first[run]
 
 
 def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
@@ -142,19 +161,25 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     resolution/2.  Both must be finite and positive.
 
     Both maxima are found coarse to fine, with the same result, to the
-    last bit, as evaluating every net point and every sample:
+    last bit, as evaluating every net point and every sample, in blocks of
+    ``_BLOCK`` points per tree query: beyond one float per d2 knot, the
+    memory held does not grow with the net or the cloud.
 
-    * d2: the coarse net (the vertices and, on every edge, every
-      ``_STRIDE``-th net point) gives a lower bound L on the maximum.
-      The nearest-sample distance f is 1-Lipschitz, so between coarse
-      points a and b, H apart, no point exceeds (f(a) + f(b) + H)/2;
-      only the intervals where that reaches L are filled in, with the
-      net's own arithmetic.
-    * d1: every graph point lies within H/2 of the coarse net, so a
-      sample's distance g to the coarse net exceeds its exact distance by
-      at most H/2 and never falls below it.  Only samples with g at least
-      max(g) - H/2 can hold the maximum; the exact projection runs on
-      those.
+    * d2: the knots (the vertices and, on every edge, every
+      ``_STRIDE``-th net point) give a lower bound L on the maximum.
+      The nearest-sample distance f is 1-Lipschitz, so between knots a
+      and b, H apart, no point exceeds (f(a) + f(b) + H)/2; only the
+      intervals where that reaches L are filled in, with the net's own
+      arithmetic.
+    * d1: coarser knots, the vertices and the midpoints of the equal
+      pieces, at most H1 <= eps long, of every edge, carry their vertex
+      or edge.  A sample's distance g to the nearest knot bounds its
+      distance from above, and every edge point lies within H1/2 of a
+      knot of its edge, so only the owners of knots within g + H1/2 can
+      be nearer.  The ``_SLOTS`` nearest knots give g and those
+      candidates (the tree is asked for all when every slot is one);
+      only the candidates are measured, with ``project_many`` and
+      ``sq_dists``.
 
     Every comparison is widened by ``_ROUNDING`` times the largest
     coordinate and distance involved, toward refining more.
@@ -174,43 +199,69 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     if pts.shape[1] != graph.ambient_dim:
         raise ValueError("cloud and graph ambient dimensions differ")
 
-    edges = graph.graph.edges
-    ii, jj = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    ii, jj = np.array(graph.graph.edges, dtype=np.int64).reshape(-1, 2).T
     lengths = graph.edge_lengths()
+    scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(pos))))
+    tree = cKDTree(pts)
     m = np.maximum(1, np.ceil(lengths / resolution)).astype(np.int64)
     # knots: k = 0, _STRIDE, 2*_STRIDE, ... < m, and m, on every edge
     per_edge = (m - 1) // _STRIDE + 2
-    knot_edge = np.repeat(np.arange(len(m)), per_edge)
-    step = np.arange(len(knot_edge)) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
-    knot_k = np.minimum(step * _STRIDE, m[knot_edge])
-    knots = _net_points(pos, ii, jj, m, knot_edge, knot_k)
-    tree = cKDTree(pts)
-    f, _ = tree.query(knots)
+    first, total = np.cumsum(per_edge) - per_edge, int(per_edge.sum())
+    f = np.empty(total)
+    for lo in range(0, total, _BLOCK):
+        edge, step = _runs(first, lo, min(lo + _BLOCK, total))
+        k = np.minimum(step * _STRIDE, m[edge])
+        f[lo:lo + len(k)], _ = tree.query(_net_points(pos, ii, jj, m, edge, k))
     low = max(float(np.max(tree.query(pos)[0])), float(np.max(f, initial=0.0)))
+    h = float(np.max(np.minimum(_STRIDE, m) / m * lengths, initial=0.0))
+    tol = _ROUNDING * (scale + low + h)
+    # the intervals from each knot ka < m to the next, kb, H apart
+    fills = [np.empty((3, 0), dtype=np.int64)]
+    for lo in range(0, total, _BLOCK):
+        edge, step = _runs(first, lo, min(lo + _BLOCK, total))
+        a = np.flatnonzero(step * _STRIDE < m[edge])
+        edge, ka = edge[a], step[a] * _STRIDE
+        kb = np.minimum(ka + _STRIDE, m[edge])
+        gap = (kb - ka) / m[edge] * lengths[edge]
+        fill = (0.5 * (f[lo + a] + f[lo + a + 1] + gap) + tol >= low) & (kb - ka > 1)
+        fills.append(np.array([edge[fill], ka[fill], kb[fill] - ka[fill] - 1]))
+    edge, ka, counts = np.hstack(fills)
+    first, total = np.cumsum(counts) - counts, int(counts.sum())
+    for lo in range(0, total, _BLOCK):
+        run, rank = _runs(first, lo, min(lo + _BLOCK, total))
+        gaps, _ = tree.query(_net_points(pos, ii, jj, m, edge[run], ka[run] + 1 + rank))
+        low = max(low, float(np.max(gaps)))
+    d2 = low + resolution / 2.0
+    del f, tree
 
-    # the intervals between consecutive knots of an edge, H apart
-    a = np.flatnonzero(knot_k < m[knot_edge])
-    edge = knot_edge[a]
-    ka, kb = knot_k[a], knot_k[a + 1]
-    gap = (kb - ka) / m[edge] * lengths[edge]
-    h = float(np.max(gap, initial=0.0))
-
-    near, _ = cKDTree(np.vstack([pos, knots])).query(pts)
-    top = float(np.max(near))
-    scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(pos))))
-    tol = _ROUNDING * (scale + max(low, top) + h)
-
-    fill = np.flatnonzero((0.5 * (f[a] + f[a + 1] + gap) + tol >= low)
-                          & (kb - ka > 1))
-    counts = kb[fill] - ka[fill] - 1
-    start = np.cumsum(counts) - counts
-    k = np.repeat(ka[fill] - start + 1, counts) + np.arange(int(counts.sum()))
-    gaps, _ = tree.query(_net_points(pos, ii, jj, m, np.repeat(edge[fill], counts), k))
-    d2 = max(low, float(np.max(gaps, initial=0.0))) + resolution / 2.0
-
-    maybe = near + tol >= top - 0.5 * h
-    d1 = float(np.max(dist_to_embedded_graph(pts[maybe], pos, edges)))
-
+    # d1: vertex v is knot and owner v; the midpoints of the m pieces of
+    # edge e have owner len(pos) + e
+    m = np.maximum(1, np.ceil(lengths / epsilon)).astype(np.int64)
+    edge, k = _runs(np.cumsum(m) - m, 0, int(m.sum()))
+    tree = cKDTree(np.vstack([pos, _net_points(pos, ii, jj, 2 * m, edge, 2 * k + 1)]))
+    owner = np.concatenate([np.arange(len(pos)), len(pos) + edge])
+    h = float(np.max(lengths / m, initial=0.0))
+    top = 0.0
+    for lo in range(0, len(pts), _BLOCK):
+        block = pts[lo:lo + _BLOCK]
+        near, knot = tree.query(block, k=_SLOTS)
+        reach = near[:, 0] + 0.5 * h + _ROUNDING * (scale + float(np.max(near[:, 0])) + h)
+        hit = near <= reach[:, None]
+        rows, slot = np.nonzero(hit)
+        who = owner[knot[rows, slot]]
+        full = np.flatnonzero(hit[:, -1])
+        if len(full):
+            found = tree.query_ball_point(block[full], reach[full])
+            rows = np.concatenate([rows, np.repeat(full, [len(x) for x in found])])
+            who = np.concatenate([who, owner[np.concatenate(found).astype(np.int64)]])
+        sq = np.empty(len(rows))
+        on, e = who >= len(pos), who - len(pos)
+        sq[~on] = sq_dists(block[rows[~on]], pos[who[~on]])
+        _, sq[on] = project_many(block[rows[on]], pos[ii[e[on]]], pos[jj[e[on]]])
+        best = np.full(len(block), np.inf)
+        np.minimum.at(best, rows, sq)
+        top = max(top, float(np.max(best)))
+    d1 = float(np.sqrt(top))
     return (d1 <= epsilon and d2 <= epsilon), max(d1, d2)
 
 

@@ -7,6 +7,7 @@ minimum incident angle available to this topology (60 degrees); both pass
 check_assumptions at eps = 0.1 with wide margins.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,18 @@ def corner_cloud(eps=EPS, angle=math.pi / 2, arm_steps=20, spacing=None):
         for k in range(1, arm_steps + 1):
             pts.append((k * spacing * u[0], k * spacing * u[1]))
     return PointCloud(pts, eps)
+
+
+def traced_peak(fn):
+    """``(fn(), current, peak)``: the bytes tracemalloc traces as still held
+    when ``fn`` returns, and the most it traced at once during the call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
 
 
 # one verdict line per acceptance criterion, echoed after the test table

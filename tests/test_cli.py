@@ -13,7 +13,7 @@ from stratograph import (SampleOptions, sample_graph, write_cloud,
                          write_embedded_graph)
 from stratograph import cli
 from stratograph.cli import main
-from conftest import EPS
+from conftest import EPS, traced_peak
 
 
 @pytest.fixture
@@ -53,6 +53,20 @@ def test_generate_invalid_noise_exits_1(tmp_path, graph_file, capsys):
     assert code == 1
     assert captured.err.startswith("error:")
     assert "noise_radius must be < epsilon" in captured.err
+
+
+def test_generate_absurd_spacing_exits_1_before_drawing(tmp_path, graph_file,
+                                                         capsys):
+    # about 1.6e10 sites: counted, refused, and nothing large allocated
+    out = tmp_path / "cloud.json"
+    args = [str(a) for a in ("generate", "--graph", graph_file, "--epsilon", EPS,
+                             "--spacing", 1e-9, "--out", out)]
+    code, _, peak = traced_peak(lambda: main(args))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: spacing 1e-09 asks for 1.6") and "sites" in err
+    assert not out.exists()
+    assert peak < 1e6
 
 
 def test_generate_missing_graph_exits_2(tmp_path, capsys):
@@ -244,6 +258,8 @@ GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
     ("fit.json", {**GOOD_FIT, "converged": "false"}, "'converged'"),
     ("strat.json", {**GOOD_STRAT, "vertex_clusters": [[0.0], [2]]},
      "'vertex_clusters'"),
+    ("graph.json", {"vertices": [[0.0, 0.0], [1.0, 0.0]], "edges": [[0, 1, 7]]},
+     "'edges'"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_json_values_exit_2(tmp_path, capsys, segment_file, name,
                                      content, position):

@@ -1,4 +1,5 @@
 """Embedding fit: objective, projections, descent, and the bias report."""
+import importlib
 import math
 
 import numpy as np
@@ -8,8 +9,11 @@ from stratograph import (AbstractGraph, EmbeddedGraph, FitProblem, PointCloud,
                          SampleOptions, Stratification, estimate_bias, fit,
                          initialize, objective, project_to_segment,
                          reconstruct_structure, sample_graph, vertex_error)
-from stratograph.fit import _theta_step, _x_step
-from conftest import EPS, EMBED_2D
+from stratograph.fit import _projected_gradient_norm, _residuals, _theta_step, _x_step
+from conftest import EPS, EMBED_2D, EMBED_3D, FIVE_VERTEX_EDGES
+
+# the module, which the package's ``fit`` function shadows
+fit_module = importlib.import_module("stratograph.fit")
 
 
 def segment_problem(noise_radius=0.0, seed=0, length=4.0):
@@ -215,6 +219,112 @@ def test_fit_pins_vertex_without_data():
     # every cluster here has a data point, so nothing pins
     assert res.pinned == ()
     assert np.allclose(res.vertex_positions[2], (10.0, 10.0))
+
+
+def x_step_add_at(problem, t, x_init):
+    """Reference for ``_x_step``: one ``np.add.at`` call per kind of term."""
+    pts = problem.cloud.array
+    k = problem.n_vertices
+    a = np.zeros((k, k))
+    b = np.zeros((k, pts.shape[1]))
+    if len(problem._d0):
+        np.add.at(a, (problem._d0v, problem._d0v), 1.0)
+        np.add.at(b, problem._d0v, pts[problem._d0])
+    if len(problem._d1):
+        c1 = t[problem._d1]
+        c2 = 1.0 - c1
+        np.add.at(a, (problem._e1, problem._e1), c1 * c1)
+        np.add.at(a, (problem._e2, problem._e2), c2 * c2)
+        np.add.at(a, (problem._e1, problem._e2), c1 * c2)
+        np.add.at(a, (problem._e2, problem._e1), c1 * c2)
+        np.add.at(b, problem._e1, c1[:, None] * pts[problem._d1])
+        np.add.at(b, problem._e2, c2[:, None] * pts[problem._d1])
+    free = np.diag(a) > 0.0
+    x = x_init.copy()
+    if free.any():
+        aff = a[np.ix_(free, free)]
+        try:
+            x[free] = np.linalg.solve(aff, b[free])
+        except np.linalg.LinAlgError:
+            x[free] = np.linalg.lstsq(aff, b[free], rcond=None)[0]
+    return x, np.nonzero(~free)[0]
+
+
+def gradient_norm_add_at(problem, x, t):
+    """Reference for ``_projected_gradient_norm`` with ``np.add.at``."""
+    r = _residuals(problem, x, t)
+    gx = np.zeros_like(x)
+    if len(problem._d0):
+        np.add.at(gx, problem._d0v, -2.0 * r[problem._d0])
+    total = 0.0
+    if len(problem._d1):
+        th = t[problem._d1]
+        rd = r[problem._d1]
+        np.add.at(gx, problem._e1, -2.0 * th[:, None] * rd)
+        np.add.at(gx, problem._e2, -2.0 * (1.0 - th)[:, None] * rd)
+        seg = x[problem._e1] - x[problem._e2]
+        gt = -2.0 * np.einsum("ij,ij->i", rd, seg)
+        gt = np.where((th <= 0.0) & (gt > 0.0), 0.0, gt)
+        gt = np.where((th >= 1.0) & (gt < 0.0), 0.0, gt)
+        total += float(np.dot(gt, gt))
+    total += float(np.sum(gx * gx))
+    return float(np.sqrt(total))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _assembly_problems():
+    for seed, embed in ((1, EMBED_2D), (2, EMBED_3D)):
+        truth = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), embed)
+        cloud = sample_graph(truth, EPS, SampleOptions(seed=seed))
+        yield FitProblem(cloud, reconstruct_structure(cloud))
+    yield segment_problem(noise_radius=0.05, seed=3)[2]
+    # vertex 2 loses its only sample, so no term reaches it and it is pinned
+    problem = FitProblem(PointCloud([(0.0, 0.0), (4.0, 0.0), (9.0, 9.0), (2.0, 0.1)], EPS),
+                         Stratification([[0], [1], [2]], [[3]], [(0, 1)]))
+    keep = problem._d0v != 2
+    problem._d0, problem._d0v = problem._d0[keep], problem._d0v[keep]
+    yield problem
+    # points only on edges, and only at vertices
+    yield FitProblem(PointCloud([(0.0, 0.0), (1.0, 0.2), (3.0, -0.1), (4.0, 0.0)], EPS),
+                     Stratification([[0], [3]], [[1, 2]], [(1, 0)]))
+    yield FitProblem(PointCloud([(0.0, 0.0), (4.0, 1.0)], EPS),
+                     Stratification([[0], [1]], [], []))
+
+
+def test_bincount_assembly_matches_add_at_bitwise():
+    pinned_seen = False
+    for problem in _assembly_problems():
+        x, t = initialize(problem)
+        for _ in range(3):
+            t = _theta_step(problem, x, t)
+            (got, pinned), (want, want_pinned) = (_x_step(problem, t, x),
+                                                  x_step_add_at(problem, t, x))
+            assert same_bits(got, want) and np.array_equal(pinned, want_pinned)
+            pinned_seen |= len(pinned) > 0
+            x = got
+            assert same_bits(_projected_gradient_norm(problem, x, t),
+                             gradient_norm_add_at(problem, x, t))
+    assert pinned_seen
+
+
+def test_fit_matches_add_at_assembly_bitwise(monkeypatch, truth_2d, truth_3d):
+    problems = [FitProblem(cloud, reconstruct_structure(cloud))
+                for truth in (truth_2d, truth_3d) for seed in (4, 5)
+                for cloud in [sample_graph(truth, EPS, SampleOptions(seed=seed))]]
+    got = [fit(p) for p in problems]
+    monkeypatch.setattr(fit_module, "_x_step", x_step_add_at)
+    monkeypatch.setattr(fit_module, "_projected_gradient_norm", gradient_norm_add_at)
+    for mine, problem in zip(got, problems):
+        want = fit(problem)
+        assert same_bits(mine.vertex_positions, want.vertex_positions)
+        assert same_bits(mine.thetas, want.thetas)
+        assert same_bits(mine.objective_trace, want.objective_trace)
+        assert (mine.iterations, mine.converged, mine.pinned) == (
+            want.iterations, want.converged, want.pinned)
 
 
 def test_fit_result_as_dict_schema():

@@ -162,6 +162,8 @@ READERS = {"fit": (read_fit_result, FIT), "strat": (read_stratification, STRAT),
     ("strat", "labels", [False, True, False]),
     ("graph", "edges", [[0.0, 1]]),
     ("graph", "edges", [[0, True]]),
+    ("graph", "edges", [[0, 1, 7]]),
+    ("graph", "edges", [[0]]),
 ])
 def test_wrongly_typed_values_are_format_errors(tmp_path, kind, key, value):
     # indices and counts must be JSON integers and flags JSON booleans;

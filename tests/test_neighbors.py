@@ -1,6 +1,5 @@
 """Threshold graphs, radius queries, and component labeling vs oracles."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from stratograph import (AbstractGraph, EmbeddedGraph, PointCloud, SampleOptions,
                          build_graph, classify_all, components, sample_graph)
 from stratograph.neighbors import _BLOCK, _QUERY_ROWS, query_blocks
+from conftest import traced_peak
 
 # A pair at exactly r = TIE_RADIUS: the einsum predicate sq <= r*r holds,
 # but scipy's cKDTree asked at exactly r misses it, so only the query's
@@ -169,12 +169,7 @@ def test_components_cloud_spanning_threshold_memory_bounded():
     # candidates near 2 MB
     rng = np.random.default_rng(23)
     g = build_graph(PointCloud(rng.uniform(0, 1, (1000, 3)), 0.01), 0.03)
-    tracemalloc.start()
-    try:
-        comps = components(g, range(1000), 2.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    comps, _, peak = traced_peak(lambda: components(g, range(1000), 2.0))
     assert len(comps) == 1
     assert peak < 4e6
 
@@ -318,12 +313,7 @@ def test_build_graph_memory_bounded_by_query_blocks():
     rng = np.random.default_rng(29)
     cloud = PointCloud(rng.uniform(0, 1, (4000, 3)), 0.01)
     cloud.array
-    tracemalloc.start()
-    try:
-        g = build_graph(cloud, 0.18)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, _, peak = traced_peak(lambda: build_graph(cloud, 0.18))
     assert g.edge_count() > 150_000
     assert peak < 3 * (g.indptr.nbytes + g.indices.nbytes)
 
@@ -347,12 +337,7 @@ def test_graph_sized_blocks_memory_bounded_by_csr():
     for name, call in (("classify_all", lambda: classify_all(cloud, g)),
                        ("components", lambda: components(g, range(len(cloud)),
                                                          10.0 * eps))):
-        tracemalloc.start()
-        try:
-            call()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(call)
         assert peak < 3 * csr, name
 
 

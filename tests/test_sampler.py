@@ -1,6 +1,5 @@
 """Certified sample generation and geometric assumption checking."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +9,9 @@ from stratograph import (AbstractGraph, EmbeddedGraph, FitProblem, PointCloud,
                          SampleOptions, check_assumptions, fit,
                          reconstruct_structure, sample_graph,
                          validate_epsilon_sample)
+from stratograph import sampler
 from stratograph.geometry import dist_to_embedded_graph
-from conftest import EPS, EMBED_2D, EMBED_3D, FIVE_VERTEX_EDGES
+from conftest import EPS, EMBED_2D, EMBED_3D, FIVE_VERTEX_EDGES, traced_peak
 
 
 def segment_graph(length=1.0):
@@ -172,12 +172,8 @@ def test_sampled_cloud_retains_only_its_coordinates():
     # retain about 15 times its coordinate bytes
     truth = lattice_graph(8)
     sample_graph(truth, EPS)
-    tracemalloc.start()
-    try:
-        cloud = sample_graph(truth, EPS, SampleOptions(seed=1))
-        retained, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cloud, retained, _ = traced_peak(lambda: sample_graph(truth, EPS,
+                                                          SampleOptions(seed=1)))
     assert len(cloud) > 8000
     assert retained <= 1.5 * len(cloud) * cloud.ambient_dim * 8
 
@@ -491,3 +487,83 @@ def test_validator_matches_full_net_reference():
             assert type(got[1]) is float
             verdicts.add(want[0])
     assert verdicts == {True, False}
+
+
+def _candidate_cases():
+    """Clouds whose largest sample distance tests the per-sample candidate
+    edges of the d1 pass, which keep the edges and vertices with a knot
+    within g + H1/2 of the sample (H1 is eps here: 4/0.1 rounds to 40)."""
+    grid = lattice_graph(4)
+    yield grid, sample_graph(grid, EPS, SampleOptions(seed=8))
+    yield grid, PointCloud(np.vstack([sample_graph(grid, EPS, SampleOptions(seed=9)).array,
+                                      [(2.0, 2.0), (12.3, 8.04), (-0.2, 4.1)]]), EPS)
+    # two parallel edges 0.11 apart; the second starts at x = 1.95, so one
+    # of its knots sits about 0.06 from (2, 0.05), nearer than the knots
+    # of the first edge, 0.05 below it, which lie 0.05 to either side
+    parallel = EmbeddedGraph(AbstractGraph(4, [(0, 1), (2, 3)]),
+                             [(0.0, 0.0), (4.0, 0.0), (1.95, 0.11), (4.0, 0.11)])
+    on_edges = sample_graph(parallel, EPS, SampleOptions(noise_radius=0.0)).array
+    for extra in [(2.0, 0.05)], [(2.0, 0.055)], [(2.0, 0.05), (3.0, 0.055)]:
+        # (2, 0.055) lies exactly as far from both edges
+        yield parallel, PointCloud(np.vstack([on_edges, extra]), EPS)
+    # a sample nearest the isolated vertex of the five-vertex graph
+    five = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_2D)
+    cloud = sample_graph(five, EPS, SampleOptions(seed=10))
+    yield five, PointCloud(np.vstack([cloud.array, [(0.3, 6.2)]]), EPS)
+    # eight spokes: a sample at the hub has more knots in reach than slots
+    spokes = [(4.0 * math.cos(a), 4.0 * math.sin(a))
+              for a in np.arange(8) * math.pi / 4.0]
+    star = EmbeddedGraph(AbstractGraph(9, [(0, v) for v in range(1, 9)]),
+                         [(0.0, 0.0)] + spokes)
+    cloud = sample_graph(star, EPS, SampleOptions(seed=11))
+    yield star, PointCloud(np.vstack([cloud.array, [(0.0, 0.0), (0.03, 0.04)]]), EPS)
+    # seven isolated vertices 0.045 from (2, 0.04) fill every slot, while
+    # the edge below it, 0.04 away, has its nearest knots 0.064 away
+    crowd = [(2.0 + 0.045 * math.cos(a), 0.04 + 0.045 * math.sin(a))
+             for a in np.arange(1, 8) * math.pi / 8.0]
+    crowded = EmbeddedGraph(AbstractGraph(9, [(0, 1)]), [(0.0, 0.0), (4.0, 0.0)] + crowd)
+    on_edge = sample_graph(segment_graph(4.0), EPS, SampleOptions(noise_radius=0.0))
+    yield crowded, PointCloud(np.vstack([on_edge.array, crowd, [(2.0, 0.04)]]), EPS)
+    # edges shorter than H1: one piece each, its midpoint the only knot
+    short = EmbeddedGraph(AbstractGraph(4, [(0, 1), (1, 2), (1, 3)]),
+                          [(0.0, 0.0), (0.05, 0.0), (0.05, 0.04), (0.09, 0.01)])
+    yield short, PointCloud([(0.0, 0.0), (0.02, 0.01), (0.06, 0.03), (0.3, 0.2),
+                             (0.07, -0.01), (0.05, 0.1)], EPS)
+
+
+def test_validator_candidate_edges_match_full_net_reference():
+    verdicts = set()
+    for truth, cloud in _candidate_cases():
+        for resolution in (None, EPS / 7, 3.0):
+            want = full_net_certificate(cloud, truth, resolution=resolution)
+            got = validate_epsilon_sample(cloud, truth, resolution=resolution)
+            assert got == want
+            verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+def test_validator_memory_bounded_by_the_cloud():
+    # beyond the cloud's tree and one float per coarse coverage knot, the
+    # certificate holds one block of knots or samples at a time: about 5x
+    # the cloud's coordinate bytes here, where holding every knot and a
+    # tree over them all took about 25x
+    truth = lattice_graph(8)
+    cloud = sample_graph(truth, EPS, SampleOptions(seed=17))
+    validate_epsilon_sample(cloud, truth)
+    (ok, _), _, peak = traced_peak(lambda: validate_epsilon_sample(cloud, truth))
+    assert ok and len(cloud) > 8000
+    assert peak <= 8 * len(cloud) * cloud.ambient_dim * 8
+
+
+@pytest.mark.parametrize("include_vertices", [True, False])
+def test_sample_graph_counts_sites_before_drawing(monkeypatch, include_vertices):
+    # a 4-long segment at spacing eps/2 has 80 pieces and 81 sites, its
+    # ends drawn as vertices or as sites of the edge
+    options = SampleOptions(seed=1, include_vertices=include_vertices)
+    sites = len(sample_graph(segment_graph(4.0), EPS, options))
+    assert sites == 81
+    monkeypatch.setattr(sampler, "_MAX_SITES", sites)
+    assert len(sample_graph(segment_graph(4.0), EPS, options)) == sites
+    monkeypatch.setattr(sampler, "_MAX_SITES", sites - 1)
+    with pytest.raises(ValueError, match=f"asks for {sites} sites"):
+        sample_graph(segment_graph(4.0), EPS, options)
