@@ -34,8 +34,9 @@ _STRIDE = 16
 # coordinate and distance involved: about 1e4 roundings, far above the
 # error of the net points and of the distances.
 _ROUNDING = 1e-12
-# Net points or samples it takes per tree query, and the nearest knots it
-# asks for per sample, enough for a vertex of degree 5.
+# Net points, knots or samples it takes per tree query, and the nearest
+# knots it asks for per sample: on the benchmark's clouds all six are in
+# reach for fewer than 1 sample in 2,000.
 _BLOCK = 1024
 _SLOTS = 6
 
@@ -140,11 +141,20 @@ def _net_points(pos, ii, jj, m, edge, k):
     return t * pos[ii[edge]] + (1.0 - t) * pos[jj[edge]]
 
 
-def _runs(first, lo, hi):
-    """Run and rank of items lo..hi-1, where run r starts at item first[r]."""
-    item = np.arange(lo, hi)
-    run = np.searchsorted(first, item, "right") - 1
-    return run, item - first[run]
+def _runs(first, items):
+    """Run and rank of the items, where run r starts at item first[r]."""
+    run = np.searchsorted(first, items, "right") - 1
+    return run, items - first[run]
+
+
+def _sq_to_owners(points, who, pos, ii, jj):
+    """Squared distance from each point to its owner: vertex who[i] below
+    len(pos), else edge who[i] - len(pos), with project_many's arithmetic."""
+    sq = np.empty(len(points))
+    on, e = who >= len(pos), who - len(pos)
+    sq[~on] = sq_dists(points[~on], pos[who[~on]])
+    _, sq[on] = project_many(points[on], pos[ii[e[on]]], pos[jj[e[on]]])
+    return sq
 
 
 def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
@@ -161,25 +171,26 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     resolution/2.  Both must be finite and positive.
 
     Both maxima are found coarse to fine, with the same result, to the
-    last bit, as evaluating every net point and every sample, in blocks of
-    ``_BLOCK`` points per tree query: beyond one float per d2 knot, the
-    memory held does not grow with the net or the cloud.
+    last bit, as evaluating every net point and every sample.  Tree
+    queries take ``_BLOCK`` points at a time.  Beyond the cloud's tree,
+    one float per d2 knot and a tree over the d1 knots, that holds one
+    block's ``_SLOTS`` nearest knots per sample, or one sample's knots in
+    reach.
 
     * d2: the knots (the vertices and, on every edge, every
       ``_STRIDE``-th net point) give a lower bound L on the maximum.
       The nearest-sample distance f is 1-Lipschitz, so between knots a
-      and b, H apart, no point exceeds (f(a) + f(b) + H)/2; only the
-      intervals where that reaches L are filled in, with the net's own
-      arithmetic.
+      and b, H apart, no point exceeds u = (f(a) + f(b) + H)/2; u is
+      kept per interval, and only the intervals where it reaches L are
+      filled in, with the net's own arithmetic.
     * d1: coarser knots, the vertices and the midpoints of the equal
       pieces, at most H1 <= eps long, of every edge, carry their vertex
       or edge.  A sample's distance g to the nearest knot bounds its
       distance from above, and every edge point lies within H1/2 of a
       knot of its edge, so only the owners of knots within g + H1/2 can
-      be nearer.  The ``_SLOTS`` nearest knots give g and those
-      candidates (the tree is asked for all when every slot is one);
-      only the candidates are measured, with ``project_many`` and
-      ``sq_dists``.
+      be nearer; only they are measured, with ``project_many`` and
+      ``sq_dists``.  A sample whose ``_SLOTS`` nearest knots are all
+      in reach asks the tree for every knot in reach.
 
     Every comparison is widened by ``_ROUNDING`` times the largest
     coordinate and distance involved, toward refining more.
@@ -204,40 +215,36 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(pos))))
     tree = cKDTree(pts)
     m = np.maximum(1, np.ceil(lengths / resolution)).astype(np.int64)
-    # knots: k = 0, _STRIDE, 2*_STRIDE, ... < m, and m, on every edge
+    # knots: k = 0, _STRIDE, 2*_STRIDE, ... < m, and m, on every edge; u of
+    # the interval from each knot ka < m to the next, kb, H apart
     per_edge = (m - 1) // _STRIDE + 2
     first, total = np.cumsum(per_edge) - per_edge, int(per_edge.sum())
-    f = np.empty(total)
+    u, low = np.full(total, -np.inf), float(np.max(tree.query(pos)[0]))
     for lo in range(0, total, _BLOCK):
-        edge, step = _runs(first, lo, min(lo + _BLOCK, total))
+        edge, step = _runs(first, np.arange(lo, min(lo + _BLOCK + 1, total)))
         k = np.minimum(step * _STRIDE, m[edge])
-        f[lo:lo + len(k)], _ = tree.query(_net_points(pos, ii, jj, m, edge, k))
-    low = max(float(np.max(tree.query(pos)[0])), float(np.max(f, initial=0.0)))
+        f, _ = tree.query(_net_points(pos, ii, jj, m, edge, k))
+        low = max(low, float(np.max(f)))
+        ka, kb, edge = k[:-1], k[1:], edge[:-1]
+        fill = 0.5 * (f[:-1] + f[1:] + (kb - ka) / m[edge] * lengths[edge])
+        u[lo:lo + len(ka)] = np.where(kb - ka > 1, fill, -np.inf)
     h = float(np.max(np.minimum(_STRIDE, m) / m * lengths, initial=0.0))
-    tol = _ROUNDING * (scale + low + h)
-    # the intervals from each knot ka < m to the next, kb, H apart
-    fills = [np.empty((3, 0), dtype=np.int64)]
-    for lo in range(0, total, _BLOCK):
-        edge, step = _runs(first, lo, min(lo + _BLOCK, total))
-        a = np.flatnonzero(step * _STRIDE < m[edge])
-        edge, ka = edge[a], step[a] * _STRIDE
-        kb = np.minimum(ka + _STRIDE, m[edge])
-        gap = (kb - ka) / m[edge] * lengths[edge]
-        fill = (0.5 * (f[lo + a] + f[lo + a + 1] + gap) + tol >= low) & (kb - ka > 1)
-        fills.append(np.array([edge[fill], ka[fill], kb[fill] - ka[fill] - 1]))
-    edge, ka, counts = np.hstack(fills)
+    edge, ka = _runs(first, np.flatnonzero(u + _ROUNDING * (scale + low + h) >= low))
+    del u
+    ka = ka * _STRIDE
+    counts = np.minimum(ka + _STRIDE, m[edge]) - ka - 1
     first, total = np.cumsum(counts) - counts, int(counts.sum())
     for lo in range(0, total, _BLOCK):
-        run, rank = _runs(first, lo, min(lo + _BLOCK, total))
+        run, rank = _runs(first, np.arange(lo, min(lo + _BLOCK, total)))
         gaps, _ = tree.query(_net_points(pos, ii, jj, m, edge[run], ka[run] + 1 + rank))
         low = max(low, float(np.max(gaps)))
     d2 = low + resolution / 2.0
-    del f, tree
+    del tree
 
     # d1: vertex v is knot and owner v; the midpoints of the m pieces of
     # edge e have owner len(pos) + e
     m = np.maximum(1, np.ceil(lengths / epsilon)).astype(np.int64)
-    edge, k = _runs(np.cumsum(m) - m, 0, int(m.sum()))
+    edge, k = _runs(np.cumsum(m) - m, np.arange(int(m.sum())))
     tree = cKDTree(np.vstack([pos, _net_points(pos, ii, jj, 2 * m, edge, 2 * k + 1)]))
     owner = np.concatenate([np.arange(len(pos)), len(pos) + edge])
     h = float(np.max(lengths / m, initial=0.0))
@@ -248,18 +255,13 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
         reach = near[:, 0] + 0.5 * h + _ROUNDING * (scale + float(np.max(near[:, 0])) + h)
         hit = near <= reach[:, None]
         rows, slot = np.nonzero(hit)
-        who = owner[knot[rows, slot]]
-        full = np.flatnonzero(hit[:, -1])
-        if len(full):
-            found = tree.query_ball_point(block[full], reach[full])
-            rows = np.concatenate([rows, np.repeat(full, [len(x) for x in found])])
-            who = np.concatenate([who, owner[np.concatenate(found).astype(np.int64)]])
-        sq = np.empty(len(rows))
-        on, e = who >= len(pos), who - len(pos)
-        sq[~on] = sq_dists(block[rows[~on]], pos[who[~on]])
-        _, sq[on] = project_many(block[rows[on]], pos[ii[e[on]]], pos[jj[e[on]]])
         best = np.full(len(block), np.inf)
-        np.minimum.at(best, rows, sq)
+        np.minimum.at(best, rows, _sq_to_owners(block[rows], owner[knot[rows, slot]], pos, ii, jj))
+        for r in np.flatnonzero(hit[:, -1]):
+            # every slot in reach: each owner of a knot in reach, once
+            who = np.unique(owner[tree.query_ball_point(block[r], reach[r])])
+            rows = np.full(len(who), r)
+            np.minimum.at(best, rows, _sq_to_owners(block[rows], who, pos, ii, jj))
         top = max(top, float(np.max(best)))
     d1 = float(np.sqrt(top))
     return (d1 <= epsilon and d2 <= epsilon), max(d1, d2)

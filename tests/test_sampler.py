@@ -555,6 +555,20 @@ def test_validator_memory_bounded_by_the_cloud():
     assert peak <= 8 * len(cloud) * cloud.ambient_dim * 8
 
 
+def test_validator_memory_bounded_when_every_knot_is_in_reach():
+    # 400 samples at the centre of a 100-gon of radius 5, cut into 0.08-long
+    # pieces: every one of its 500 d1 knots is in reach of each, so one
+    # block that gathered them all at once took about 27 MB
+    ring = [(5.0 * math.cos(a), 5.0 * math.sin(a)) for a in np.arange(100) * math.pi / 50.0]
+    polygon = EmbeddedGraph(AbstractGraph(100, [(v, (v + 1) % 100) for v in range(100)]), ring)
+    centre = np.random.default_rng(0).uniform(-0.01, 0.01, (400, 2))
+    cloud = PointCloud(np.vstack([sample_graph(polygon, EPS, SampleOptions(seed=12)).array,
+                                  centre]), EPS)
+    got, _, peak = traced_peak(lambda: validate_epsilon_sample(cloud, polygon))
+    assert got == full_net_certificate(cloud, polygon) and not got[0]
+    assert peak <= 2 * 2**20
+
+
 @pytest.mark.parametrize("include_vertices", [True, False])
 def test_sample_graph_counts_sites_before_drawing(monkeypatch, include_vertices):
     # a 4-long segment at spacing eps/2 has 80 pieces and 81 sites, its
