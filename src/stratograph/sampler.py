@@ -173,9 +173,9 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     Both maxima are found coarse to fine, with the same result, to the
     last bit, as evaluating every net point and every sample.  Tree
     queries take ``_BLOCK`` points at a time.  Beyond the cloud's tree,
-    one float per d2 knot and a tree over the d1 knots, that holds one
-    block's ``_SLOTS`` nearest knots per sample, or one sample's knots in
-    reach.
+    one float per d2 knot and a tree over the d1 knots, it holds one
+    block's ``_SLOTS`` nearest knots per sample, or one sample's knots
+    in reach, at a time.
 
     * d2: the knots (the vertices and, on every edge, every
       ``_STRIDE``-th net point) give a lower bound L on the maximum.
@@ -226,8 +226,8 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
         f, _ = tree.query(_net_points(pos, ii, jj, m, edge, k))
         low = max(low, float(np.max(f)))
         ka, kb, edge = k[:-1], k[1:], edge[:-1]
-        fill = 0.5 * (f[:-1] + f[1:] + (kb - ka) / m[edge] * lengths[edge])
-        u[lo:lo + len(ka)] = np.where(kb - ka > 1, fill, -np.inf)
+        bound = 0.5 * (f[:-1] + f[1:] + (kb - ka) / m[edge] * lengths[edge])
+        u[lo:lo + len(ka)] = np.where(kb - ka > 1, bound, -np.inf)
     h = float(np.max(np.minimum(_STRIDE, m) / m * lengths, initial=0.0))
     edge, ka = _runs(first, np.flatnonzero(u + _ROUNDING * (scale + low + h) >= low))
     del u
