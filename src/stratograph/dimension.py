@@ -18,11 +18,11 @@ reference in ``tests/test_dimension.py`` evaluates (a), (b), (c) in that
 order on one ball; ``classify_all`` gives its label on every sample but
 runs the annulus test first and the ball test only where the annulus
 gives 0, so most samples on an edge never need the larger ball graph.
-It classifies blocks of ball members, at most ``_BLOCK_MEMBERS`` or
-three quarters of the cloud's points, whichever is more, taking pairs
-from the neighbourhood graph's CSR rows: apart from one index and two
-flags per pair, its working set is bounded by one block, and so by a
-fixed share of the CSR the graph holds.
+It takes balls in blocks of at most ``_BLOCK_MEMBERS`` or three
+quarters of the cloud's points, whichever is more, from
+``neighbors.query_blocks``, and pairs from the neighbourhood graph's CSR
+rows: apart from one index and two flags per pair, its working set is
+bounded by one block, and so by a fixed share of the CSR the graph holds.
 
 The angle test (c) runs batched over a block: centroids come from one
 sum per (ball, component), norms and dots from one pass.  The batch is
@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import DimensionLabels, PointCloud, row_dots
 from .geometry import sq_dists
-from .neighbors import NeighborhoodGraph, _min_labels
+from .neighbors import NeighborhoodGraph, _min_labels, query_blocks
 
 _DEGENERATE = 1e-12
 
@@ -130,7 +130,7 @@ def _spans(coords: np.ndarray, group: np.ndarray, q: np.ndarray,
 
 
 def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
-    """The pairs i < j of the CSR ``nbrs = (indptr, indices)``, with their
+    """The pairs i < j of the neighbourhood graph ``nbrs``, with their
     tests.
 
     Returns ``(indptr, indices, ann_ok, ball_ok)``: row i of ``indices``
@@ -140,7 +140,7 @@ def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
     are compared, ``_BLOCK_PAIRS`` pairs at a time.
     """
     n = len(pts)
-    nbr_ptr, cols = nbrs
+    nbr_ptr, cols = nbrs.indptr, nbrs.indices
     rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(nbr_ptr))
     keep = cols > rows
     rows, cols = rows[keep], cols[keep].astype(np.int32)
@@ -233,44 +233,27 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
                  params: ClassifierParams | None = None) -> DimensionLabels:
     """Classify every sample with the per-ball tests (a), (b), (c).
 
-    Samples are classified in blocks of at most ``_BLOCK_MEMBERS`` ball
-    members, or three quarters of the cloud's points if more (or one
-    ball, if larger).  In each block the annulus test runs
+    Samples are classified in the blocks of ``query_blocks`` at the
+    local radius, with a budget of ``_BLOCK_MEMBERS`` ball members, or
+    three quarters of the cloud's points if more.  In each block the
+    annulus test runs
     first, and the ball test only for samples whose annulus gives 0: the
     label is 1 when either test says 1, so the order cannot change it.
     The angle test runs batched, with ``angle_test``'s arithmetic.
     Components come from the pairs of the graph's CSR neighbours, tested
     with the same squared-distance comparison as the per-ball reference,
-    or from ``graph.query`` when a threshold exceeds ``graph.radius``.
-    Balls are held as one ``(sizes, flat)`` pair.  Beyond the pair list,
-    memory is bounded by one block.
+    or of a graph at that threshold when it exceeds ``graph.radius``.
+    Beyond the pair list, memory is bounded by one block.
     """
     if params is None:
         params = ClassifierParams.from_epsilon(cloud.epsilon)
     pts = cloud.array
     n = len(pts)
     reach = max(params.annulus_edge_threshold, params.ball_edge_threshold)
-    nbrs = ((graph.indptr, graph.indices) if reach <= graph.radius
-            else graph.query(pts, reach))
+    nbrs = graph if reach <= graph.radius else NeighborhoodGraph(graph.cloud, reach)
     pairs = _upper_pairs(pts, nbrs, params)
     out = np.empty(n, dtype=int)
-    sizes, flat = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    budget = max(_BLOCK_MEMBERS, 3 * n // 4)
-    lo, size = 0, 1
-    while lo < n:
-        if len(sizes) < size:
-            indptr, more = graph.query(pts[lo + len(sizes):lo + size],
-                                       params.local_radius)
-            sizes = np.concatenate([sizes, np.diff(indptr)])
-            flat = np.concatenate([flat, more])
-        # the leading balls that fit the budget (at least one); the rest wait
-        members = np.cumsum(sizes)
-        take = max(1, int(np.searchsorted(members, budget, side="right")))
-        used = int(members[take - 1])
-        queries = np.arange(lo, lo + take)
-        out[queries] = _classify_block(pts, queries, (sizes[:take], flat[:used]),
-                                       pairs, params)
-        # nearby samples have similar balls: size the next block by these
-        size = max(1, budget * take // used)
-        sizes, flat, lo = sizes[take:], flat[used:], lo + take
+    for queries, sizes, flat in query_blocks(graph, np.arange(n), params.local_radius,
+                                             max(_BLOCK_MEMBERS, 3 * n // 4)):
+        out[queries] = _classify_block(pts, queries, (sizes, flat), pairs, params)
     return DimensionLabels(out)

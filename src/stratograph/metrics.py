@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial import cKDTree
 
 from .core import AbstractGraph, EmbeddedGraph
 from .fit import FitProblem, fit
@@ -26,7 +26,8 @@ def hausdorff(a, b) -> float:
     """Exact Hausdorff distance between two finite point sets.
 
     The maximum over both sets of the distance to the other set: zero iff
-    the sets are equal as sets.
+    the sets are equal as sets.  Nearest neighbours come from a k-d tree
+    over each set, so memory is linear in the sets, not their product.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -34,8 +35,7 @@ def hausdorff(a, b) -> float:
         raise ValueError("hausdorff distance needs two non-empty sets")
     if a.shape[1] != b.shape[1]:
         raise ValueError("ambient dimensions differ")
-    d = cdist(a, b)
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    return float(max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max()))
 
 
 def _check_size(g1: AbstractGraph, g2: AbstractGraph):

@@ -2,22 +2,22 @@
 
 Adjacency is defined by d(p, q) <= r with the comparison done on squared
 distances; ties at exactly r are included.  ``NeighborhoodGraph.query``
-answers every radius query on the cloud and returns CSR arrays, one
-ascending row per query point.  A scipy k-d tree over each block of query
-rows, asked against the cloud's tree with a little slack, proposes
-candidate pairs with the tree's distances.  A candidate the tree puts
-well inside the radius is kept as it is; only the thin shell around the
-radius is re-measured with that exact predicate, so the tree's own
-distance arithmetic never decides a tie.  The graph stores its own
-neighbours in the same CSR form, and ``components`` returns the
-connected components of any index subset at any threshold from those
-queries, as ascending index arrays ordered by their smallest member.
+answers a radius query with one tree call and returns CSR arrays, one
+ascending row per query point: a scipy k-d tree over the query points,
+asked against the cloud's tree with a little slack, proposes candidate
+pairs with the tree's distances.  A candidate the tree puts well inside
+the radius is kept as it is; only the thin shell around the radius is
+re-measured with that exact predicate, so the tree's own distance
+arithmetic never decides a tie.
 
-Blocks of ``query_blocks`` are sized to the graph: each limit is the
-larger of a fixed floor and a fixed share of the graph's CSR entries, so
-small clouds keep the floors, a large graph runs in fewer and larger
-blocks, and a block's working set stays a bounded share of the memory
-the graph already holds.
+Every pass over many rows (the graph's own CSR, the classifier's balls,
+``components`` and incidence) takes them in blocks from ``query_blocks``,
+so it holds one block's pairs at a time.  Block limits are sized to the
+graph: each is the larger of a fixed floor and a fixed share of the
+graph's CSR entries, so a large graph runs in fewer and larger blocks,
+and a block stays a bounded share of the memory the graph holds.
+``components`` returns ascending index arrays ordered by their smallest
+member.
 """
 from __future__ import annotations
 
@@ -41,9 +41,6 @@ _SLACK = 1.0 + 1e-9
 # _SQ_RANGE every candidate is re-measured.
 _INNER = 1.0 - 1e-9
 _SQ_RANGE = (2.0 ** -960, 2.0 ** 960)
-# Query rows per tree call: a call holds the candidate pairs of this many
-# rows, never those of the whole query.
-_QUERY_ROWS = 256
 # Most subset members per block of ``query_blocks``: _BLOCK, or one
 # _BLOCK_SHARE-th of the graph's CSR entries if that is more.  512 is
 # where component and incidence times stopped falling on 8x8 and 30x30
@@ -76,14 +73,15 @@ class NeighborhoodGraph:
             raise ValueError("radius must be finite and positive")
         self.cloud = cloud
         self.radius = float(radius)
-        pts = cloud.array
-        n = len(pts)
-        self.tree = cKDTree(pts)
-        indptr, indices = self.query(pts, self.radius)
-        # every row holds its own point once: distance 0 <= radius
-        rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-        self.indices = indices[indices != rows]
-        self.indptr = indptr - np.arange(n + 1)
+        self.tree = cKDTree(cloud.array)
+        counts, parts = [], []
+        for sel, cnt, indices in query_blocks(self, np.arange(len(cloud.array)),
+                                              self.radius, _BLOCK_CANDIDATES):
+            # every row holds its own point once: distance 0 <= radius
+            counts.append(cnt - 1)
+            parts.append(indices[indices != np.repeat(sel, cnt)])
+        self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+        self.indices = np.concatenate(parts)
 
     @property
     def n_points(self) -> int:
@@ -101,37 +99,32 @@ class NeighborhoodGraph:
         if the einsum of ``p - q`` with itself is <= radius * radius, so
         that predicate alone decides every pair near the radius.  Where
         r*r lies outside ``_SQ_RANGE`` every candidate takes the einsum
-        test.  A negative radius gives empty rows.  Rows are taken
-        ``_QUERY_ROWS`` at a time, each block with one tree call, so only
-        one block's candidates are held at once.
+        test.  A negative radius gives empty rows.  All rows go to one
+        tree call, so its pairs are all held at once: ``query_blocks``
+        bounds that by taking a block of rows per call.
         """
         if not math.isfinite(radius):
             raise ValueError("radius must be finite")
         qs = np.asarray(qs, dtype=float)
+        indptr = np.zeros(len(qs) + 1, dtype=np.int64)
         if radius < 0.0:
-            return np.zeros(len(qs) + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return indptr, np.empty(0, dtype=np.int64)
         pts = self.cloud.array
         n = len(pts)
         sq_radius = radius * radius
         # outside _SQ_RANGE no tree distance is trusted: all are in the shell
         inner = (radius * _INNER if _SQ_RANGE[0] <= sq_radius <= _SQ_RANGE[1]
                  else -1.0)
-        counts, parts = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-        for lo in range(0, len(qs), _QUERY_ROWS):
-            block = qs[lo:lo + _QUERY_ROWS]
-            cand = cKDTree(block).sparse_distance_matrix(
-                self.tree, radius * _SLACK, output_type="ndarray")
-            rows, cols = cand["i"], cand["j"]
-            keep = cand["v"] <= inner
-            shell = np.flatnonzero(~keep)
-            diff = pts[cols[shell]] - block[rows[shell]]
-            keep[shell] = np.einsum("ij,ij->i", diff, diff) <= sq_radius
-            rows, cols = np.divmod(np.sort(rows[keep] * n + cols[keep]), n)
-            counts.append(np.bincount(rows, minlength=len(block)))
-            parts.append(cols)
-        indptr = np.zeros(len(qs) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(counts), out=indptr[1:])
-        return indptr, np.concatenate(parts)
+        cand = cKDTree(qs).sparse_distance_matrix(
+            self.tree, radius * _SLACK, output_type="ndarray")
+        rows, cols = cand["i"], cand["j"]
+        keep = cand["v"] <= inner
+        shell = np.flatnonzero(~keep)
+        diff = pts[cols[shell]] - qs[rows[shell]]
+        keep[shell] = np.einsum("ij,ij->i", diff, diff) <= sq_radius
+        rows, cols = np.divmod(np.sort(rows[keep] * n + cols[keep]), n)
+        np.cumsum(np.bincount(rows, minlength=len(qs)), out=indptr[1:])
+        return indptr, cols
 
     def __repr__(self) -> str:
         return (f"NeighborhoodGraph(n={self.n_points}, radius={self.radius}, "
@@ -143,28 +136,40 @@ def build_graph(cloud: PointCloud, radius: float) -> NeighborhoodGraph:
     return NeighborhoodGraph(cloud, radius)
 
 
-def query_blocks(graph: NeighborhoodGraph, rows: np.ndarray, radius: float):
-    """``(sel, indptr, indices)`` for consecutive blocks of the point
-    indices ``rows``: ``sel`` holds the block's positions in ``rows`` and
-    ``(indptr, indices)`` is ``graph.query`` of the points ``rows[sel]``.
+def query_blocks(graph: NeighborhoodGraph, rows: np.ndarray, radius: float,
+                 budget: int | None = None):
+    """``(sel, counts, indices)`` for consecutive blocks of the point
+    indices ``rows``: ``sel`` holds the block's positions in ``rows``, and
+    ``graph.query`` of ``rows[sel[k]]`` is the next ``counts[k]`` entries
+    of ``indices``.
 
-    The first block is one row; each next one takes as many rows as fit
-    the candidate limit at the candidates per row the last block
-    returned, up to the member limit, so only one block's pairs are held
-    at once.  Both limits are fixed floors that grow with the graph's
-    CSR entries (see ``_BLOCK_SHARE`` and ``_CANDIDATE_SHARE``), so a
-    block's working set is a bounded share of the graph already held.
+    A block takes the leading rows whose candidates fit ``budget`` (at
+    least one row); rows fetched beyond it wait for the next block, whose
+    fetch is sized at the candidates per row of this one.  By default the
+    budget and a cap on a block's rows grow with the graph's CSR entries
+    (see ``_BLOCK_SHARE`` and ``_CANDIDATE_SHARE``); an explicit budget
+    carries no row cap.
     """
     pts = graph.cloud.array
-    most = max(_BLOCK, len(graph.indices) // _BLOCK_SHARE)
-    budget = max(_BLOCK_CANDIDATES, len(graph.indices) // _CANDIDATE_SHARE)
+    most = len(rows)
+    if budget is None:
+        most = max(_BLOCK, len(graph.indices) // _BLOCK_SHARE)
+        budget = max(_BLOCK_CANDIDATES, len(graph.indices) // _CANDIDATE_SHARE)
+    counts, flat = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     lo, size = 0, 1
     while lo < len(rows):
-        sel = np.arange(lo, min(lo + size, len(rows)))
-        indptr, indices = graph.query(pts[rows[sel]], radius)
-        yield sel, indptr, indices
-        lo += len(sel)
-        size = min(most, max(1, budget * len(sel) // max(1, len(indices))))
+        if len(counts) < size:
+            indptr, more = graph.query(pts[rows[lo + len(counts):lo + size]], radius)
+            counts = np.concatenate([counts, np.diff(indptr)])
+            flat = np.concatenate([flat, more])
+            del indptr, more  # the fetch is held in flat alone
+        ends = np.cumsum(counts)
+        take = max(1, int(np.searchsorted(ends, budget, side="right")))
+        used = int(ends[take - 1])
+        yield np.arange(lo, lo + take), counts[:take], flat[:used]
+        # nearby rows have similar balls: size the next block by these
+        size = min(most, max(1, budget * take // max(1, used)))
+        counts, flat, lo = counts[take:], flat[used:], lo + take
 
 
 def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -213,8 +218,8 @@ def components(graph: NeighborhoodGraph, subset, threshold: float) -> list:
     position = np.full(n, -1)
     position[members] = np.arange(len(members))
     lab = np.arange(len(members))
-    for sel, indptr, indices in query_blocks(graph, members, threshold):
-        src = np.repeat(sel, np.diff(indptr))  # members[sel] sit at sel
+    for sel, counts, indices in query_blocks(graph, members, threshold):
+        src = np.repeat(sel, counts)  # members[sel] sit at sel
         dst = position[indices]
         later = dst > src  # each pair once; non-members are -1
         lab = _min_labels(len(members), lab[src[later]], lab[dst[later]])[lab]

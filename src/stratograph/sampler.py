@@ -168,7 +168,10 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     its nearest sample (resolution = eps/100 by default) plus the
     resolution/2 slack, so a True verdict is a certificate while the
     returned distance may overestimate the true d_H by up to
-    resolution/2.  Both must be finite and positive.
+    resolution/2.  Both must be finite and positive.  More than 2 *
+    ``_MAX_SITES`` + 3 |E| pieces of length eps, or 100 times as many net
+    points, is a ValueError before anything is allocated: at spacing up
+    to 2 eps, no graph ``sample_graph`` accepts has more.
 
     Both maxima are found coarse to fine, with the same result, to the
     last bit, as evaluating every net point and every sample.  Tree
@@ -210,11 +213,19 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     if pts.shape[1] != graph.ambient_dim:
         raise ValueError("cloud and graph ambient dimensions differ")
 
-    ii, jj = np.array(graph.graph.edges, dtype=np.int64).reshape(-1, 2).T
     lengths = graph.edge_lengths()
+    pieces = np.maximum(1.0, np.ceil(lengths / epsilon))
+    net = np.maximum(1.0, np.ceil(lengths / resolution))
+    limit = 2 * _MAX_SITES + 3 * len(lengths)
+    for name, step, count, most in (("epsilon", epsilon, pieces, limit),
+                                    ("resolution", resolution, net, 100 * limit)):
+        if not np.sum(count) <= most:
+            raise ValueError(f"{name} {step} cuts the graph into {np.sum(count):.4g} "
+                             f"pieces, more than the {most} a certificate may take")
+    ii, jj = np.array(graph.graph.edges, dtype=np.int64).reshape(-1, 2).T
     scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(pos))))
     tree = cKDTree(pts)
-    m = np.maximum(1, np.ceil(lengths / resolution)).astype(np.int64)
+    m = net.astype(np.int64)
     # knots: k = 0, _STRIDE, 2*_STRIDE, ... < m, and m, on every edge; u of
     # the interval from each knot ka < m to the next, kb, H apart
     per_edge = (m - 1) // _STRIDE + 2
@@ -243,7 +254,7 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
 
     # d1: vertex v is knot and owner v; the midpoints of the m pieces of
     # edge e have owner len(pos) + e
-    m = np.maximum(1, np.ceil(lengths / epsilon)).astype(np.int64)
+    m = pieces.astype(np.int64)
     edge, k = _runs(np.cumsum(m) - m, np.arange(int(m.sum())))
     tree = cKDTree(np.vstack([pos, _net_points(pos, ii, jj, 2 * m, edge, 2 * k + 1)]))
     owner = np.concatenate([np.arange(len(pos)), len(pos) + edge])

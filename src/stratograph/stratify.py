@@ -86,8 +86,8 @@ def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
     cluster_of = np.repeat(np.arange(len(edge_clusters)),
                            [len(c) for c in edge_clusters])
     hits = [np.empty(0, dtype=int)]
-    for sel, indptr, indices in query_blocks(graph, members, link_threshold):
-        e_id = np.repeat(cluster_of[sel], np.diff(indptr))
+    for sel, counts, indices in query_blocks(graph, members, link_threshold):
+        e_id = np.repeat(cluster_of[sel], counts)
         v_id = owner[indices]
         near = v_id >= 0
         hits.append(np.unique(e_id[near] * n_vertex + v_id[near]))

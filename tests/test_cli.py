@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import stratograph
-from stratograph import (SampleOptions, sample_graph, write_cloud,
+from stratograph import (PointCloud, SampleOptions, sample_graph, write_cloud,
                          write_embedded_graph)
 from stratograph import cli
 from stratograph.cli import main
@@ -165,6 +165,24 @@ def test_evaluate_non_isomorphic_is_not_an_error(tmp_path, graph_file,
     assert data["isomorphic"] is False
     assert data["max_vertex_error"] is None
     assert "isomorphic false" in captured.out
+
+
+def test_evaluate_tiny_declared_epsilon_exits_1_before_certifying(
+        tmp_path, graph_file, truth_2d, capsys):
+    # the cloud file declares eps 1e-9: certifying against the five-vertex
+    # graph would cut it into about 1.6e10 pieces, so they are counted and
+    # refused before anything is allocated
+    cloud, report = tmp_path / "cloud.json", tmp_path / "eval.json"
+    points = sample_graph(truth_2d, EPS, SampleOptions(seed=1)).array
+    write_cloud(PointCloud(points, 1e-9), str(cloud))
+    args = [str(a) for a in ("evaluate", "--fitted", graph_file, "--truth", graph_file,
+                             "--cloud", cloud, "--out", report)]
+    code, _, peak = traced_peak(lambda: main(args))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: epsilon 1e-09 cuts the graph into 1.6e+10 pieces")
+    assert not report.exists()
+    assert peak < 1e6
 
 
 def test_fit_mismatched_stratification_exits_1(tmp_path, graph_file,
@@ -430,16 +448,21 @@ def test_zero_coordinate_cloud_exits_1(tmp_path, capsys, points):
 
 
 def test_console_script_entry_point(tmp_path, graph_file):
-    out = tmp_path / "cloud.json"
+    # the whole pipeline in a real process, in dev mode with every warning
+    # an error: the in-process warning filter never reaches a child, so a
+    # file left unclosed there would otherwise go unseen
+    out = tmp_path / "run"
     # the child imports stratograph from wherever this process found it
     src = os.path.dirname(os.path.dirname(os.path.abspath(stratograph.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "stratograph.cli", "generate", "--graph",
-         graph_file, "--epsilon", str(EPS), "--seed", "1", "--out", str(out)],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "stratograph.cli",
+         "pipeline", "--graph", graph_file, "--epsilon", str(EPS), "--seed", "1",
+         "--out-dir", str(out)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0
-    assert out.exists()
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert (out / "manifest.json").exists()
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -7,7 +7,7 @@ import pytest
 from stratograph import (AbstractGraph, EmbeddedGraph, UnsupportedGraphSize,
                          graph_isomorphic, hausdorff, vertex_error)
 from stratograph.metrics import iter_isomorphisms
-from conftest import FIVE_VERTEX_EDGES, EMBED_2D
+from conftest import FIVE_VERTEX_EDGES, EMBED_2D, traced_peak
 
 
 def brute_hausdorff(a, b):
@@ -49,6 +49,23 @@ def test_hausdorff_symmetry_and_triangle():
         dab = hausdorff(a, b)
         assert dab == pytest.approx(hausdorff(b, a))
         assert dab <= hausdorff(a, c) + hausdorff(c, b) + 1e-12
+
+
+def test_hausdorff_matches_brute_oracle_across_scales():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3):
+        for scale in (1e-5, 1.0, 1e5):
+            a = rng.normal(0, scale, (rng.integers(1, 60), dim))
+            b = rng.normal(0, scale, (rng.integers(1, 60), dim)) + rng.normal(0, scale, dim)
+            assert hausdorff(a, b) == brute_hausdorff(a, b)
+
+
+def test_hausdorff_memory_linear_in_the_sets():
+    # the full 3,000 x 3,000 distance matrix alone would be 72 MB
+    rng = np.random.default_rng(13)
+    a, b = rng.uniform(0, 1, (3000, 3)), rng.uniform(0, 1, (3000, 3))
+    _, _, peak = traced_peak(lambda: hausdorff(a, b))
+    assert peak < 1e6
 
 
 def test_hausdorff_rejects_empty_and_mismatch():

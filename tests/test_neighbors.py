@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from stratograph import (AbstractGraph, EmbeddedGraph, PointCloud, SampleOptions,
                          build_graph, classify_all, components, sample_graph)
-from stratograph.neighbors import _BLOCK, _QUERY_ROWS, query_blocks
+from stratograph.neighbors import (_BLOCK, _BLOCK_CANDIDATES, _CANDIDATE_SHARE,
+                                  query_blocks)
 from conftest import traced_peak
 
 # A pair at exactly r = TIE_RADIUS: the einsum predicate sq <= r*r holds,
@@ -245,15 +246,23 @@ def test_radius_neighbors_matches_linear_scan():
 
 
 def test_query_many_agrees_with_single_queries():
-    # the queries span more than two blocks of tree calls
+    # one call over many rows, and query_blocks walking the cloud's rows in
+    # several blocks, give each row what a query of that row alone gives
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 1, (400, 2))
     g = build_graph(PointCloud(pts, 0.1), 0.05)
-    qs = rng.uniform(-0.1, 1.1, (2 * _QUERY_ROWS + 37, 2))
+    qs = rng.uniform(-0.1, 1.1, (549, 2))
     batched = balls(g, qs, 0.12)
     assert len(batched) == len(qs)
     for q, got in zip(qs, batched):
         assert got == balls(g, [q], 0.12)[0]
+    rows = rng.permutation(400)
+    walked, blocks = [], 0
+    for sel, counts, indices in query_blocks(g, rows, 0.12, 500):
+        walked += [part.tolist() for part in np.split(indices, np.cumsum(counts)[:-1])]
+        blocks += 1
+    assert blocks > 2
+    assert walked == [balls(g, [pts[r]], 0.12)[0] for r in rows]
 
 
 @pytest.mark.parametrize("dim,n,seed", [(2, 600, 31), (3, 900, 37)])
@@ -308,8 +317,8 @@ def test_components_rejects_non_finite_threshold(threshold):
 def test_build_graph_memory_bounded_by_query_blocks():
     # about 80 neighbours per point: a single tree call over all rows
     # holds every candidate pair with its coordinate differences, and
-    # peaks above six times the CSR it returns; blocks of rows, with the
-    # self column dropped afterwards, stay under three times it
+    # peaks above six times the CSR it returns; blocks of rows, each
+    # dropping its self column, stay under three times it
     rng = np.random.default_rng(29)
     cloud = PointCloud(rng.uniform(0, 1, (4000, 3)), 0.01)
     cloud.array
@@ -347,13 +356,32 @@ def test_query_blocks_cover_rows_once_in_order():
     g = build_graph(PointCloud(pts, 0.1), 0.05)
     rows = rng.permutation(500)[:300]
     walked = []
-    for sel, indptr, indices in query_blocks(g, rows, 0.1):
+    for sel, counts, indices in query_blocks(g, rows, 0.1):
         assert 1 <= len(sel) <= _BLOCK
         want_ptr, want_idx = g.query(pts[rows[sel]], 0.1)
-        assert indptr.tolist() == want_ptr.tolist()
+        assert counts.tolist() == np.diff(want_ptr).tolist()
         assert indices.tolist() == want_idx.tolist()
         walked += sel.tolist()
     assert walked == list(range(300))
+
+
+def test_query_blocks_hold_at_most_their_budget():
+    # rows run from a sparse region into a dense one, so a block sized by
+    # the sparse rows before it would take dozens of dense balls of 1,000
+    # candidates each; the rows beyond the budget wait for the next block
+    rng = np.random.default_rng(47)
+    pts = np.vstack([rng.uniform(1, 11, (1000, 2)), rng.uniform(0, 0.05, (1000, 2))])
+    g = build_graph(PointCloud(pts, 0.1), 0.002)
+    assert len(g.indices) // _CANDIDATE_SHARE <= _BLOCK_CANDIDATES
+    for budget in (None, 5000):
+        walked, widest = [], 0
+        for sel, counts, indices in query_blocks(g, np.arange(2000), 0.3, budget):
+            assert len(sel) == 1 or len(indices) <= (budget or _BLOCK_CANDIDATES)
+            walked += sel.tolist()
+            widest = max(widest, len(sel))
+        assert walked == list(range(2000))
+        # an explicit budget carries no row cap: a sparse row holds about 3
+        assert (widest <= _BLOCK) == (budget is None)
 
 
 def test_subset_components_with_and_without_index_agree():

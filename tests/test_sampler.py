@@ -581,3 +581,21 @@ def test_sample_graph_counts_sites_before_drawing(monkeypatch, include_vertices)
     monkeypatch.setattr(sampler, "_MAX_SITES", sites - 1)
     with pytest.raises(ValueError, match=f"asks for {sites} sites"):
         sample_graph(segment_graph(4.0), EPS, options)
+
+
+@pytest.mark.parametrize("length,resolution,pieces", [
+    (5.1, None, "epsilon 0.125 cuts the graph into 41 pieces, more than the 39"),
+    (4.0039, 2.0 ** -10, "resolution 0.0009765625 cuts the graph into 4100 pieces, "
+                         "more than the 3900")])
+def test_validator_counts_pieces_before_allocating(monkeypatch, length, resolution,
+                                                   pieces):
+    # with _MAX_SITES = 19 a certificate takes up to 2 * 19 + 3 = 41 pieces
+    # of length eps and 100 times as many net points: 5.1 / 0.125 gives 41
+    # pieces, 4.0039 * 2**10 gives 4,100 net points; at 18 both are refused
+    eps, segment = 0.125, segment_graph(length)
+    cloud = sample_graph(segment, eps, SampleOptions(noise_radius=0.0, spacing=2 * eps))
+    monkeypatch.setattr(sampler, "_MAX_SITES", 19)
+    assert validate_epsilon_sample(cloud, segment, eps, resolution)[0]
+    monkeypatch.setattr(sampler, "_MAX_SITES", 18)
+    with pytest.raises(ValueError, match=pieces):
+        validate_epsilon_sample(cloud, segment, eps, resolution)
