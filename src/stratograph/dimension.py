@@ -52,12 +52,6 @@ _DEGENERATE = 1e-12
 # keeps freed blocks below that size in a cache per byte size, so masks
 # of every smaller length would leave behind up to 3.5 MB.
 _BLOCK_MEMBERS = 1536
-# Large clouds take blocks of up to 3/4 as many ball members as points.
-# A block's working set grows with members times degree, so a share of
-# the points, unlike a share of the CSR entries, keeps it a fixed share
-# of the CSR at any density.  3/4 cuts an 8x8 grid-graph cloud (8,912
-# points) from 357 blocks to 75 at a traced peak of 2.3x the CSR's bytes
-# (1.5x at the floor); clouds under 2,048 points keep the floor.
 # Pairs per chunk when testing pair distances, so that no float array
 # spans the whole adjacency.
 _BLOCK_PAIRS = 4096
@@ -253,6 +247,12 @@ def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
     nbrs = graph if reach <= graph.radius else NeighborhoodGraph(graph.cloud, reach)
     pairs = _upper_pairs(pts, nbrs, params)
     out = np.empty(n, dtype=int)
+    # Large clouds take blocks of up to 3/4 as many ball members as points.
+    # A block's working set grows with members times degree, so a share of
+    # the points, unlike a share of the CSR entries, keeps it a fixed share
+    # of the CSR at any density.  3/4 cuts an 8x8 grid-graph cloud (8,912
+    # points) from 357 blocks to 75 at a traced peak of 2.3x the CSR's
+    # bytes (1.5x at the floor); clouds under 2,048 points keep the floor.
     for queries, sizes, flat in query_blocks(graph, np.arange(n), params.local_radius,
                                              max(_BLOCK_MEMBERS, 3 * n // 4)):
         out[queries] = _classify_block(pts, queries, (sizes, flat), pairs, params)

@@ -114,11 +114,10 @@ def _residuals(problem: FitProblem, x: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def objective(problem: FitProblem, vertex_positions, thetas) -> float:
-    """Phi = sum of per-point squared residuals, accumulated in index order."""
+    """Phi = sum of per-point squared residuals, added left to right on every Python."""
     x, t = _check_shapes(problem, vertex_positions, thetas)
     r = _residuals(problem, x, t)
-    phis = np.einsum("ij,ij->i", r, r)
-    return float(sum(phis.tolist()))
+    return float(np.cumsum(np.einsum("ij,ij->i", r, r))[-1])
 
 
 def initialize(problem: FitProblem):

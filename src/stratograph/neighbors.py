@@ -46,7 +46,11 @@ _SQ_RANGE = (2.0 ** -960, 2.0 ** 960)
 # where component and incidence times stopped falling on 8x8 and 30x30
 # grid-graph clouds (swept from 128 to 2048); a 10-eps components pass
 # on the 8x8 cloud then peaks at 1.0x the CSR's bytes (1.6x at 128).
-# Graphs under 32,768 entries keep the floor.
+# Graphs under 32,768 entries keep the floor.  The cap also bounds each
+# fetch of a default-budget walk.  Without it, ``cluster_edges`` on the
+# 8x8 cloud ran 25% faster, but the component stages there peaked at
+# 1.13 MB, not 0.90, and a ``cluster_vertices`` fetch on a 3D cloud at
+# spacing eps/5 held 39,803 candidates, not 8,982, against 16,384.
 _BLOCK = 64
 _BLOCK_SHARE = 512
 # Candidates per block of ``query_blocks``: _BLOCK_CANDIDATES, or one

@@ -10,6 +10,9 @@ eps-sample whenever s/2 + rho <= eps; the option invariants enforce that.
 Each site draws ``standard_normal(dim)`` (again while its norm is 0), then
 ``random()``, from the stream of its vertex block or edge, in site order;
 the arithmetic is done per stream, to the last bit of a per-site one.
+
+The certificate takes the graph as one list of segments, a vertex being
+one of length 0, and measures every distance with ``project_many``.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .core import EmbeddedGraph, PointCloud, row_dots
-from .geometry import project_many, sq_dists
+from .geometry import project_many
 
 _MASK64 = (1 << 64) - 1
 # sample_graph counts its sites before drawing any and refuses more than
@@ -133,12 +136,12 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive")
 
 
-def _net_points(pos, ii, jj, m, edge, k):
-    """Points t*pos[ii[e]] + (1-t)*pos[jj[e]], t = k/m[e], of the edges e:
-    for m[e] = max(1, ceil(length/resolution)) and k = 1..m-1 the net of
-    edge (ii[e], jj[e]); k = 0 and k = m give its vertices."""
-    t = (k / m[edge])[:, None]
-    return t * pos[ii[edge]] + (1.0 - t) * pos[jj[edge]]
+def _net_points(a, b, m, seg, k):
+    """Points t*a[s] + (1-t)*b[s], t = k/m[s], of the segments s = seg:
+    for m[s] = max(1, ceil(length/resolution)) and k = 1..m-1 the net of
+    segment s; k = 0 and k = m give its ends."""
+    t = (k / m[seg])[:, None]
+    return t * a[seg] + (1.0 - t) * b[seg]
 
 
 def _runs(first, items):
@@ -147,31 +150,22 @@ def _runs(first, items):
     return run, items - first[run]
 
 
-def _sq_to_owners(points, who, pos, ii, jj):
-    """Squared distance from each point to its owner: vertex who[i] below
-    len(pos), else edge who[i] - len(pos), with project_many's arithmetic."""
-    sq = np.empty(len(points))
-    on, e = who >= len(pos), who - len(pos)
-    sq[~on] = sq_dists(points[~on], pos[who[~on]])
-    _, sq[on] = project_many(points[on], pos[ii[e[on]]], pos[jj[e[on]]])
-    return sq
-
-
 def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
                             epsilon: float | None = None,
                             resolution: float | None = None):
     """Certify the two-sided eps-sample condition; returns (is_valid, d_H bound).
 
     The sample-to-graph direction d1 is exact (projection onto every
-    segment and vertex).  The coverage direction d2 is bounded from above
-    by the largest distance from a resolution-net point of the graph to
-    its nearest sample (resolution = eps/100 by default) plus the
-    resolution/2 slack, so a True verdict is a certificate while the
-    returned distance may overestimate the true d_H by up to
-    resolution/2.  Both must be finite and positive.  More than 2 *
-    ``_MAX_SITES`` + 3 |E| pieces of length eps, or 100 times as many net
-    points, is a ValueError before anything is allocated: at spacing up
-    to 2 eps, no graph ``sample_graph`` accepts has more.
+    segment, a vertex being one of length 0).  The coverage direction d2
+    is bounded from above by the largest distance from a resolution-net
+    point of the graph to its nearest sample (resolution = eps/100 by
+    default) plus the resolution/2 slack, so a True verdict is a
+    certificate while the returned distance may overestimate the true
+    d_H by up to resolution/2.  Both must be finite and positive.  More
+    than 2 * ``_MAX_SITES`` + 3 |E| edge pieces of length eps, or 100
+    times as many net points, is a ValueError before anything is
+    allocated: at spacing up to 2 eps, no graph ``sample_graph`` accepts
+    has more.
 
     Both maxima are found coarse to fine, with the same result, to the
     last bit, as evaluating every net point and every sample.  Tree
@@ -180,19 +174,19 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     block's ``_SLOTS`` nearest knots per sample, or one sample's knots
     in reach, at a time.
 
-    * d2: the knots (the vertices and, on every edge, every
-      ``_STRIDE``-th net point) give a lower bound L on the maximum.
-      The nearest-sample distance f is 1-Lipschitz, so between knots a
-      and b, H apart, no point exceeds u = (f(a) + f(b) + H)/2; u is
-      kept per interval, and only the intervals where it reaches L are
-      filled in, with the net's own arithmetic.
-    * d1: coarser knots, the vertices and the midpoints of the equal
-      pieces, at most H1 <= eps long, of every edge, carry their vertex
-      or edge.  A sample's distance g to the nearest knot bounds its
-      distance from above, and every edge point lies within H1/2 of a
-      knot of its edge, so only the owners of knots within g + H1/2 can
-      be nearer; only they are measured, with ``project_many`` and
-      ``sq_dists``.  A sample whose ``_SLOTS`` nearest knots are all
+    * d2: the knots (every ``_STRIDE``-th net point of every segment,
+      and its end) give a lower bound L on the maximum.  The
+      nearest-sample distance f is 1-Lipschitz, so between knots a and
+      b, H apart, no point exceeds u = (f(a) + f(b) + H)/2; u is kept
+      per interval, and only the intervals where it reaches L are filled
+      in, with the net's own arithmetic.
+    * d1: coarser knots, the midpoints of the equal pieces, at most
+      H1 <= eps long, of every segment (a vertex's is the vertex), carry
+      their segment.  A sample's distance g to the nearest knot bounds
+      its distance from above, and every point of a segment lies within
+      H1/2 of one of its knots, so only the segments of knots within
+      g + H1/2 can be nearer; only they are measured, with
+      ``project_many``.  A sample whose ``_SLOTS`` nearest knots are all
       in reach asks the tree for every knot in reach.
 
     Every comparison is widened by ``_ROUNDING`` times the largest
@@ -222,57 +216,58 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
         if not np.sum(count) <= most:
             raise ValueError(f"{name} {step} cuts the graph into {np.sum(count):.4g} "
                              f"pieces, more than the {most} a certificate may take")
+    # segments a[s] -> b[s]: every edge, then every vertex v as (v, v) in one piece
     ii, jj = np.array(graph.graph.edges, dtype=np.int64).reshape(-1, 2).T
+    a, b = np.concatenate([pos[ii], pos]), np.concatenate([pos[jj], pos])
+    lengths = np.append(lengths, np.zeros(len(pos)))
     scale = max(float(np.max(np.abs(pts))), float(np.max(np.abs(pos))))
     tree = cKDTree(pts)
-    m = net.astype(np.int64)
-    # knots: k = 0, _STRIDE, 2*_STRIDE, ... < m, and m, on every edge; u of
-    # the interval from each knot ka < m to the next, kb, H apart
-    per_edge = (m - 1) // _STRIDE + 2
-    first, total = np.cumsum(per_edge) - per_edge, int(per_edge.sum())
-    u, low = np.full(total, -np.inf), float(np.max(tree.query(pos)[0]))
+    m = np.append(net, np.ones(len(pos))).astype(np.int64)
+    # knots: k = 0, _STRIDE, 2*_STRIDE, ... < m, and m, on every segment; u
+    # of the interval from each knot ka < m to the next, kb, H apart
+    per_seg = (m - 1) // _STRIDE + 2
+    first, total = np.cumsum(per_seg) - per_seg, int(per_seg.sum())
+    u, low = np.full(total, -np.inf), 0.0
     for lo in range(0, total, _BLOCK):
-        edge, step = _runs(first, np.arange(lo, min(lo + _BLOCK + 1, total)))
-        k = np.minimum(step * _STRIDE, m[edge])
-        f, _ = tree.query(_net_points(pos, ii, jj, m, edge, k))
+        seg, step = _runs(first, np.arange(lo, min(lo + _BLOCK + 1, total)))
+        k = np.minimum(step * _STRIDE, m[seg])
+        f, _ = tree.query(_net_points(a, b, m, seg, k))
         low = max(low, float(np.max(f)))
-        ka, kb, edge = k[:-1], k[1:], edge[:-1]
-        bound = 0.5 * (f[:-1] + f[1:] + (kb - ka) / m[edge] * lengths[edge])
+        ka, kb, seg = k[:-1], k[1:], seg[:-1]
+        bound = 0.5 * (f[:-1] + f[1:] + (kb - ka) / m[seg] * lengths[seg])
         u[lo:lo + len(ka)] = np.where(kb - ka > 1, bound, -np.inf)
-    h = float(np.max(np.minimum(_STRIDE, m) / m * lengths, initial=0.0))
-    edge, ka = _runs(first, np.flatnonzero(u + _ROUNDING * (scale + low + h) >= low))
+    h = float(np.max(np.minimum(_STRIDE, m) / m * lengths))
+    seg, ka = _runs(first, np.flatnonzero(u + _ROUNDING * (scale + low + h) >= low))
     del u
     ka = ka * _STRIDE
-    counts = np.minimum(ka + _STRIDE, m[edge]) - ka - 1
+    counts = np.minimum(ka + _STRIDE, m[seg]) - ka - 1
     first, total = np.cumsum(counts) - counts, int(counts.sum())
     for lo in range(0, total, _BLOCK):
         run, rank = _runs(first, np.arange(lo, min(lo + _BLOCK, total)))
-        gaps, _ = tree.query(_net_points(pos, ii, jj, m, edge[run], ka[run] + 1 + rank))
+        gaps, _ = tree.query(_net_points(a, b, m, seg[run], ka[run] + 1 + rank))
         low = max(low, float(np.max(gaps)))
     d2 = low + resolution / 2.0
     del tree
 
-    # d1: vertex v is knot and owner v; the midpoints of the m pieces of
-    # edge e have owner len(pos) + e
-    m = pieces.astype(np.int64)
-    edge, k = _runs(np.cumsum(m) - m, np.arange(int(m.sum())))
-    tree = cKDTree(np.vstack([pos, _net_points(pos, ii, jj, 2 * m, edge, 2 * k + 1)]))
-    owner = np.concatenate([np.arange(len(pos)), len(pos) + edge])
-    h = float(np.max(lengths / m, initial=0.0))
+    # d1: the midpoints of the m pieces of segment s, each owned by s
+    m = np.append(pieces, np.ones(len(pos))).astype(np.int64)
+    seg, k = _runs(np.cumsum(m) - m, np.arange(int(m.sum())))
+    tree = cKDTree(_net_points(a, b, 2 * m, seg, 2 * k + 1))
+    h = float(np.max(lengths / m))
     top = 0.0
     for lo in range(0, len(pts), _BLOCK):
         block = pts[lo:lo + _BLOCK]
         near, knot = tree.query(block, k=_SLOTS)
         reach = near[:, 0] + 0.5 * h + _ROUNDING * (scale + float(np.max(near[:, 0])) + h)
         hit = near <= reach[:, None]
-        rows, slot = np.nonzero(hit)
+        rows, who = np.nonzero(hit)[0], seg[knot[hit]]
         best = np.full(len(block), np.inf)
-        np.minimum.at(best, rows, _sq_to_owners(block[rows], owner[knot[rows, slot]], pos, ii, jj))
+        np.minimum.at(best, rows, project_many(block[rows], a[who], b[who])[1])
         for r in np.flatnonzero(hit[:, -1]):
-            # every slot in reach: each owner of a knot in reach, once
-            who = np.unique(owner[tree.query_ball_point(block[r], reach[r])])
+            # every slot in reach: each segment of a knot in reach, once
+            who = np.unique(seg[tree.query_ball_point(block[r], reach[r])])
             rows = np.full(len(who), r)
-            np.minimum.at(best, rows, _sq_to_owners(block[rows], who, pos, ii, jj))
+            np.minimum.at(best, rows, project_many(block[rows], a[who], b[who])[1])
         top = max(top, float(np.max(best)))
     d1 = float(np.sqrt(top))
     return (d1 <= epsilon and d2 <= epsilon), max(d1, d2)

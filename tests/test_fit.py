@@ -80,6 +80,20 @@ def test_objective_matches_naive_oracle():
         naive_objective(problem, x, t), rel=1e-12)
 
 
+def test_objective_adds_left_to_right():
+    # 1 + 2**-53 rounds to 1, so a left-to-right sum of these residual
+    # squares stays at 1.0, while a compensated sum (the builtin sum of
+    # floats from CPython 3.12 on) gives 1 + 2**-51
+    h = 2.0 ** -27
+    pts = [(1.0, 0.0), (h, h), (h, -h), (-h, h), (-h, -h)]
+    problem = FitProblem(PointCloud(pts, EPS), Stratification([range(5)], [], [], n_points=5))
+    acc = 0.0
+    for px, py in pts:
+        acc += px * px + py * py
+    assert acc == 1.0 and math.fsum(px * px + py * py for px, py in pts) == 1.0 + 2.0 ** -51
+    assert objective(problem, np.zeros((1, 2)), np.zeros(5)) == acc
+
+
 def test_objective_rejects_out_of_range_theta():
     _, cloud, problem = segment_problem()
     x = np.zeros((2, 2))

@@ -80,3 +80,16 @@ def test_third_party_imports_are_allowlisted():
         extra = {name for name in absolute_imports(path) - allowed
                  if name.split(".")[0] not in sys.stdlib_module_names}
         assert not extra, f"{path.name} imports {sorted(extra)}"
+
+
+def test_no_builtin_sum():
+    # the builtin sum of floats adds left to right up to CPython 3.11 and
+    # with compensation from 3.12 on, so one seed would give different
+    # bits under two Pythons this package supports; np.cumsum(...)[-1]
+    # adds left to right everywhere
+    for path in sorted(SOURCES.glob("*.py")):
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "sum"]
+        assert not calls, (f"{path.name} calls the builtin sum on lines {calls}, whose "
+                           f"float result depends on the Python version")

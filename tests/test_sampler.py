@@ -1,8 +1,10 @@
 """Certified sample generation and geometric assumption checking."""
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import cKDTree
 
 from stratograph import (AbstractGraph, EmbeddedGraph, FitProblem, PointCloud,
@@ -540,6 +542,43 @@ def test_validator_candidate_edges_match_full_net_reference():
             assert got == want
             verdicts.add(want[0])
     assert verdicts == {True, False}
+
+
+_COORD = st.one_of(st.integers(-4, 4).map(float), st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def sampled_graphs(draw):
+    """A cloud sampled from a graph of 1-6 vertices in 1-3 D with random
+    edges, plus up to 4 samples anywhere near it, at scale 1e-6 to 1e6
+    and translated by up to 1e3 times the scale."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[_COORD] * dim)
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(point, min_size=n, max_size=n, unique=True))
+    edges = [e for e in combinations(range(len(rows)), 2) if draw(st.booleans())]
+    extra = draw(st.lists(point, max_size=4))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    shift = np.array([draw(st.floats(-1e3, 1e3, allow_nan=False)) for _ in range(dim)])
+    pos = (np.array(rows) + shift) * scale
+    # the shift can round near vertices together, and a tiny edge's
+    # squared length to 0
+    assume(len(np.unique(pos, axis=0)) == len(pos))
+    truth = EmbeddedGraph(AbstractGraph(len(rows), edges), pos)
+    assume(truth.edge_lengths().all())
+    eps = 0.25 * scale
+    cloud = sample_graph(truth, eps, SampleOptions(seed=draw(st.integers(0, 2 ** 32))))
+    off = (np.array(extra).reshape(-1, dim) + shift) * scale
+    return truth, PointCloud(np.vstack([cloud.array, off]), eps)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(sampled_graphs())
+def test_validator_matches_full_net_reference_at_any_scale(case):
+    truth, cloud = case
+    for resolution in (None, cloud.epsilon / 7):
+        assert (validate_epsilon_sample(cloud, truth, resolution=resolution)
+                == full_net_certificate(cloud, truth, resolution=resolution))
 
 
 def test_validator_memory_bounded_by_the_cloud():
