@@ -40,7 +40,7 @@ import numpy as np
 
 from .core import DimensionLabels, PointCloud, row_dots
 from .geometry import sq_dists
-from .neighbors import NeighborhoodGraph, _min_labels, query_blocks
+from .neighbors import NeighborhoodGraph, _gather, _min_labels, query_blocks
 
 _DEGENERATE = 1e-12
 
@@ -134,10 +134,9 @@ def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
     are compared, ``_BLOCK_PAIRS`` pairs at a time.
     """
     n = len(pts)
-    nbr_ptr, cols = nbrs.indptr, nbrs.indices
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(nbr_ptr))
-    keep = cols > rows
-    rows, cols = rows[keep], cols[keep].astype(np.int32)
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(nbrs.indptr))
+    keep = nbrs.indices > rows
+    rows, cols = rows[keep], nbrs.indices[keep].astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     ann_ok = np.empty(len(cols), dtype=bool)
@@ -189,10 +188,7 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
     def edges(sel: np.ndarray, ok: np.ndarray, inside=None):
         """Pairs passing ``ok`` from the nodes ``sel`` to their own ball,
         or only to its nodes that are ``inside``."""
-        starts = indptr[flat[sel]]
-        counts = indptr[flat[sel] + 1] - starts
-        at = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        at += np.arange(len(at))
+        counts, at = _gather(indptr, flat[sel])
         src = np.repeat(sel, counts)
         close = ok[at]
         src = src[close]
@@ -225,19 +221,12 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
 
 def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
                  params: ClassifierParams | None = None) -> DimensionLabels:
-    """Classify every sample with the per-ball tests (a), (b), (c).
+    """Classify every sample with the per-ball tests (a), (b), (c), in the
+    order and the blocks the module docstring gives.
 
-    Samples are classified in the blocks of ``query_blocks`` at the
-    local radius, with a budget of ``_BLOCK_MEMBERS`` ball members, or
-    three quarters of the cloud's points if more.  In each block the
-    annulus test runs
-    first, and the ball test only for samples whose annulus gives 0: the
-    label is 1 when either test says 1, so the order cannot change it.
-    The angle test runs batched, with ``angle_test``'s arithmetic.
     Components come from the pairs of the graph's CSR neighbours, tested
     with the same squared-distance comparison as the per-ball reference,
     or of a graph at that threshold when it exceeds ``graph.radius``.
-    Beyond the pair list, memory is bounded by one block.
     """
     if params is None:
         params = ClassifierParams.from_epsilon(cloud.epsilon)

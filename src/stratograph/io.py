@@ -13,7 +13,9 @@ Formats:
 
 JSON writes are deterministic (sorted keys, repr-precision floats), so
 identical values produce identical bytes and round-trip exactly.  Reads
-take indices, counts and flags only as JSON integers and booleans.
+take indices, counts and flags only as JSON integers and booleans, and
+reals (coordinates, epsilon, thetas, objective) only as JSON numbers, not
+strings or booleans; an integer too large for a float is a format error.
 """
 from __future__ import annotations
 
@@ -66,7 +68,7 @@ def _convert(path: str, key: str, value, convert):
     """``convert(value)``, or a FormatError naming the file and the key."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {key!r}: {exc}") from exc
 
 
@@ -89,7 +91,14 @@ def _strict(kind):
 _index, _flag = _strict(int), _strict(bool)
 
 
-def _numbers(path: str, key: str, value, kind=float) -> list:
+def _real(value) -> float:
+    """A JSON number as a float; a bool is no number, nor is a string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(path: str, key: str, value, kind=_real) -> list:
     """``kind`` of each entry of the JSON array ``value``."""
     return _convert(path, key, value, lambda v: [kind(x) for x in _listed(v)])
 
@@ -132,14 +141,14 @@ def read_cloud(path: str, format: str | None = None,
         data = _load_json(path, "epsilon", "points")
         points = _parse_points(data["points"], path, "points")
         if epsilon is None:
-            epsilon = _convert(path, "epsilon", data["epsilon"], float)
+            epsilon = _convert(path, "epsilon", data["epsilon"], _real)
         return PointCloud(points, float(epsilon))
 
     if epsilon is None and os.path.exists(_sidecar(path)):
         meta = _load_json(_sidecar(path))
         epsilon = meta.get("epsilon")
         if epsilon is not None:
-            epsilon = _convert(_sidecar(path), "epsilon", epsilon, float)
+            epsilon = _convert(_sidecar(path), "epsilon", epsilon, _real)
     if epsilon is None:
         raise FormatError(f"{path}: CSV clouds need epsilon via keyword, "
                           f"flag, or sidecar {_sidecar(path)!r}")

@@ -12,10 +12,12 @@ arithmetic never decides a tie.
 
 Every pass over many rows (the graph's own CSR, the classifier's balls,
 ``components`` and incidence) takes them in blocks from ``query_blocks``,
-so it holds one block's pairs at a time.  Block limits are sized to the
-graph: each is the larger of a fixed floor and a fixed share of the
-graph's CSR entries, so a large graph runs in fewer and larger blocks,
-and a block stays a bounded share of the memory the graph holds.
+so it holds one block's pairs at a time; passes at the graph's radius
+read its CSR rows, so the tree is asked only at other radii.  Block
+limits are sized to the graph: each is the larger of a fixed floor and
+a fixed share of the graph's CSR entries, so a large graph runs in
+fewer and larger blocks, and a block stays a bounded share of the
+memory the graph holds.
 ``components`` returns ascending index arrays ordered by their smallest
 member.
 """
@@ -44,13 +46,13 @@ _SQ_RANGE = (2.0 ** -960, 2.0 ** 960)
 # Most subset members per block of ``query_blocks``: _BLOCK, or one
 # _BLOCK_SHARE-th of the graph's CSR entries if that is more.  512 is
 # where component and incidence times stopped falling on 8x8 and 30x30
-# grid-graph clouds (swept from 128 to 2048); a 10-eps components pass
-# on the 8x8 cloud then peaks at 1.0x the CSR's bytes (1.6x at 128).
+# grid-graph clouds (swept from 128 to 2048 while both asked the tree).
 # Graphs under 32,768 entries keep the floor.  The cap also bounds each
-# fetch of a default-budget walk.  Without it, ``cluster_edges`` on the
-# 8x8 cloud ran 25% faster, but the component stages there peaked at
-# 1.13 MB, not 0.90, and a ``cluster_vertices`` fetch on a 3D cloud at
-# spacing eps/5 held 39,803 candidates, not 8,982, against 16,384.
+# fetch of a default-budget walk: without it, on the 8x8 cloud,
+# ``cluster_vertices`` peaked at 0.96 MB, not 0.80, and edge clusters and
+# incidence ran twice as fast from the CSR but peaked at 0.88 and 0.99 MB,
+# not 0.45 and 0.29; a ``cluster_vertices`` fetch on a 3D cloud at spacing
+# eps/5 held 39,803 candidates, not 8,982, against 16,384.
 _BLOCK = 64
 _BLOCK_SHARE = 512
 # Candidates per block of ``query_blocks``: _BLOCK_CANDIDATES, or one
@@ -98,14 +100,12 @@ class NeighborhoodGraph:
         """CSR ``(indptr, indices)``: row k lists the cloud points p with
         d(p, qs[k]) <= radius, in ascending order.
 
-        The tree proposes candidates within ``radius * _SLACK``.  Those
-        it puts within ``radius * _INNER`` are kept; the others are kept
-        if the einsum of ``p - q`` with itself is <= radius * radius, so
-        that predicate alone decides every pair near the radius.  Where
-        r*r lies outside ``_SQ_RANGE`` every candidate takes the einsum
-        test.  A negative radius gives empty rows.  All rows go to one
-        tree call, so its pairs are all held at once: ``query_blocks``
-        bounds that by taking a block of rows per call.
+        Of the tree's candidates within ``radius * _SLACK``, those it
+        puts within ``radius * _INNER`` are kept, and the others only if
+        the einsum of ``p - q`` with itself is <= radius * radius (all
+        take that test where r*r lies outside ``_SQ_RANGE``).  A negative
+        radius gives empty rows.  All rows go to one tree call, whose
+        pairs ``query_blocks`` bounds by taking a block of rows per call.
         """
         if not math.isfinite(radius):
             raise ValueError("radius must be finite")
@@ -154,7 +154,6 @@ def query_blocks(graph: NeighborhoodGraph, rows: np.ndarray, radius: float,
     (see ``_BLOCK_SHARE`` and ``_CANDIDATE_SHARE``); an explicit budget
     carries no row cap.
     """
-    pts = graph.cloud.array
     most = len(rows)
     if budget is None:
         most = max(_BLOCK, len(graph.indices) // _BLOCK_SHARE)
@@ -163,10 +162,9 @@ def query_blocks(graph: NeighborhoodGraph, rows: np.ndarray, radius: float,
     lo, size = 0, 1
     while lo < len(rows):
         if len(counts) < size:
-            indptr, more = graph.query(pts[rows[lo + len(counts):lo + size]], radius)
-            counts = np.concatenate([counts, np.diff(indptr)])
-            flat = np.concatenate([flat, more])
-            del indptr, more  # the fetch is held in flat alone
+            got, more = _fetch(graph, rows[lo + len(counts):lo + size], radius)
+            counts, flat = np.concatenate([counts, got]), np.concatenate([flat, more])
+            del got, more  # the fetch is held in flat alone
         ends = np.cumsum(counts)
         take = max(1, int(np.searchsorted(ends, budget, side="right")))
         used = int(ends[take - 1])
@@ -174,6 +172,31 @@ def query_blocks(graph: NeighborhoodGraph, rows: np.ndarray, radius: float,
         # nearby rows have similar balls: size the next block by these
         size = min(most, max(1, budget * take // max(1, used)))
         counts, flat, lo = counts[take:], flat[used:], lo + take
+
+
+def _gather(indptr: np.ndarray, rows: np.ndarray):
+    """``(counts, at)``: CSR row ``rows[k]`` has ``counts[k]`` entries, and
+    ``at`` holds the positions of all of them, row after row."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    at = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    at += np.arange(len(at))
+    return counts, at
+
+
+def _fetch(graph: NeighborhoodGraph, rows: np.ndarray, radius: float):
+    """Row counts and flat indices of ``graph.query`` of the points ``rows``:
+    at the graph's radius, once ``__init__`` has built them, its CSR rows
+    with each row's own point put back in order."""
+    if radius != graph.radius or not hasattr(graph, "indices"):
+        indptr, flat = graph.query(graph.cloud.array[rows], radius)
+        return np.diff(indptr), flat
+    counts, at = _gather(graph.indptr, rows)
+    near = graph.indices[at]
+    del at  # so that at most three arrays of the fetch's length are held
+    base = np.arange(len(rows)) * graph.n_points  # keys ascend row by row
+    own = np.searchsorted(np.repeat(base, counts) + near, base + rows)
+    return counts + 1, np.insert(near, own, rows)
 
 
 def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -223,10 +246,10 @@ def components(graph: NeighborhoodGraph, subset, threshold: float) -> list:
     position[members] = np.arange(len(members))
     lab = np.arange(len(members))
     for sel, counts, indices in query_blocks(graph, members, threshold):
-        src = np.repeat(sel, counts)  # members[sel] sit at sel
-        dst = position[indices]
+        src, dst = np.repeat(sel, counts), position[indices]  # members[sel] at sel
         later = dst > src  # each pair once; non-members are -1
-        lab = _min_labels(len(members), lab[src[later]], lab[dst[later]])[lab]
+        src, dst = lab[src[later]], lab[dst[later]]  # frees the unfiltered pairs
+        lab = _min_labels(len(members), src, dst)[lab]
     # lab[i] is the position of the smallest member of i's component; a
     # stable sort keeps each component ascending
     order = np.argsort(lab, kind="stable")

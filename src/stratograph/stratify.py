@@ -3,17 +3,16 @@ their incidence, which together determine the abstract graph.
 
 Vertex clusters are connected components of the dimension-0 samples at a
 generous threshold (10*eps by default: vertex neighborhoods are wide but
-well separated).  Edge clusters use the tighter 3*eps.  Each edge cluster
-must then touch exactly two vertex clusters within the link threshold;
-those two become the edge's endpoints.  Clusters are the ascending
-index arrays of ``neighbors.components``, and incidence comes from one
-pass of ``neighbors.query_blocks`` over all edge-cluster members, so every
-threshold is answered by the neighbourhood graph's one radius query, in
-blocks of bounded size.  ``Stratification`` then holds the partition.
+well separated).  Edge clusters use the neighbourhood graph's own radius,
+the 3*eps that ``reconstruct_structure`` builds it at, and each must
+touch exactly two vertex clusters within that radius; those two become
+the edge's endpoints.  Clusters are the ascending index arrays of
+``neighbors.components``, and incidence comes from one pass of
+``neighbors.query_blocks`` over all edge-cluster members, so both read
+the graph's CSR rows in blocks of bounded size; only the vertex clusters
+ask the tree.  ``Stratification`` then holds the partition.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -38,59 +37,47 @@ class IncidenceError(ValueError):
 
 def cluster_vertices(cloud: PointCloud, graph: NeighborhoodGraph,
                      labels: DimensionLabels, threshold: float | None = None) -> list:
-    """Components of the dimension-0 samples; one cluster per vertex, as
-    ascending index arrays ordered by smallest member.
-
-    The default threshold is 10*eps, far above the 3*eps neighborhood
-    graph radius: vertex neighborhoods are wide but well separated.
-    """
+    """Components of the dimension-0 samples at ``threshold`` (10*eps by
+    default); one cluster per vertex, as ascending index arrays ordered by
+    smallest member."""
     if threshold is None:
         threshold = 10.0 * cloud.epsilon
     return components(graph, labels.indices_of(0), threshold)
 
 
 def cluster_edges(cloud: PointCloud, graph: NeighborhoodGraph,
-                  labels: DimensionLabels, threshold: float | None = None) -> list:
-    """Components of the dimension-1 samples at threshold 3*eps."""
-    if threshold is None:
-        threshold = 3.0 * cloud.epsilon
-    return components(graph, labels.indices_of(1), threshold)
+                  labels: DimensionLabels) -> list:
+    """Components of the dimension-1 samples at the graph's radius."""
+    return components(graph, labels.indices_of(1), graph.radius)
 
 
 def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
-                     vertex_clusters, edge_clusters,
-                     link_threshold: float | None = None) -> list:
+                     vertex_clusters, edge_clusters) -> list:
     """Match each edge cluster with the two vertex clusters it runs between.
 
-    A vertex cluster is incident when any of its points lies within
-    link_threshold (default 3*eps) of any point of the edge cluster.
-    Returns one sorted pair of vertex-cluster indices per edge cluster.
-    Anything other than exactly two incident clusters raises
-    IncidenceError naming the first such edge cluster and the candidates
-    found; two edge clusters with the same pair raise ValueError.
+    A vertex cluster is incident when any of its points lies within the
+    graph's radius (another link radius takes a graph built at it) of any
+    point of the edge cluster.  Returns one sorted pair of vertex-cluster
+    indices per edge cluster.  Anything other than exactly two incident
+    clusters raises IncidenceError naming the first such edge cluster and
+    its candidates; two edge clusters with the same pair raise ValueError.
 
-    The members of all edge clusters are queried in one pass of
+    The members of all edge clusters read their CSR rows in one pass of
     ``query_blocks``, and each block's hits are reduced to distinct
     (edge cluster, vertex cluster) pairs.
     """
-    if link_threshold is None:
-        link_threshold = 3.0 * cloud.epsilon
-    if not math.isfinite(link_threshold):
-        raise ValueError("link_threshold must be finite")
     owner = np.full(len(cloud), -1)
     for v_id, cluster in enumerate(vertex_clusters):
         owner[np.fromiter(cluster, dtype=int)] = v_id
     n_vertex = max(1, len(vertex_clusters))
     members = np.concatenate([np.fromiter(c, dtype=int)
                               for c in edge_clusters] + [np.empty(0, dtype=int)])
-    cluster_of = np.repeat(np.arange(len(edge_clusters)),
-                           [len(c) for c in edge_clusters])
+    cluster_of = np.repeat(np.arange(len(edge_clusters)), [len(c) for c in edge_clusters])
     hits = [np.empty(0, dtype=int)]
-    for sel, counts, indices in query_blocks(graph, members, link_threshold):
+    for sel, counts, indices in query_blocks(graph, members, graph.radius):
         e_id = np.repeat(cluster_of[sel], counts)
         v_id = owner[indices]
-        near = v_id >= 0
-        hits.append(np.unique(e_id[near] * n_vertex + v_id[near]))
+        hits.append(np.unique((e_id * n_vertex + v_id)[v_id >= 0]))
     e_id, v_id = np.divmod(np.unique(np.concatenate(hits)), n_vertex)
     counts = np.bincount(e_id, minlength=len(edge_clusters))
     bad = np.flatnonzero(counts != 2)

@@ -278,6 +278,18 @@ GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
      "'vertex_clusters'"),
     ("graph.json", {"vertices": [[0.0, 0.0], [1.0, 0.0]], "edges": [[0, 1, 7]]},
      "'edges'"),
+    # reals are JSON numbers: no string, no bool, no integer beyond a float
+    ("cloud.json", {**GOOD_CLOUD, "epsilon": "0.1"}, "'epsilon'"),
+    ("cloud.json", {**GOOD_CLOUD, "points": [[0.0, 0.0], [0.1, "0.0"]]},
+     "'points[1]'"),
+    ("cloud.json", {**GOOD_CLOUD, "points": [[0.0, 0.0], [0.1, True]]},
+     "'points[1]'"),
+    ("cloud.json", {**GOOD_CLOUD, "points": [[0.0, 0.0], [10 ** 400, 0.0]]},
+     "'points[1]'"),
+    ("cloud.json", {**GOOD_CLOUD, "epsilon": 10 ** 400}, "'epsilon'"),
+    ("cloud.csv.meta.json", {"epsilon": "0.1"}, "'epsilon'"),
+    ("cloud.csv.meta.json", {"epsilon": 10 ** 400}, "'epsilon'"),
+    ("fit.json", {**GOOD_FIT, "thetas": [True]}, "'thetas'"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_json_values_exit_2(tmp_path, capsys, segment_file, name,
                                      content, position):

@@ -136,8 +136,9 @@ FIT = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "thetas": [0.5], "objective": [1.0]
 STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
          "edge_clusters": [[1]], "incidence": [[0, 1]]}
 GRAPH = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "edges": [[0, 1]]}
+CLOUD = {"epsilon": 0.1, "points": [[0.0, 0.0], [1.0, 0.0]]}
 READERS = {"fit": (read_fit_result, FIT), "strat": (read_stratification, STRAT),
-           "graph": (read_embedded_graph, GRAPH)}
+           "graph": (read_embedded_graph, GRAPH), "cloud": (read_cloud, CLOUD)}
 
 
 @pytest.mark.parametrize("kind, key, value", [
@@ -164,10 +165,16 @@ READERS = {"fit": (read_fit_result, FIT), "strat": (read_stratification, STRAT),
     ("graph", "edges", [[0, True]]),
     ("graph", "edges", [[0, 1, 7]]),
     ("graph", "edges", [[0]]),
+    ("cloud", "epsilon", "0.1"),
+    ("cloud", "epsilon", True),
+    pytest.param("cloud", "epsilon", 10 ** 400, id="cloud-epsilon-10**400"),
+    ("fit", "thetas", ["0.5"]),
+    ("fit", "thetas", [True]),
+    ("fit", "objective", [10 ** 400]),
 ])
 def test_wrongly_typed_values_are_format_errors(tmp_path, kind, key, value):
-    # indices and counts must be JSON integers and flags JSON booleans;
-    # nothing is coerced
+    # indices and counts must be JSON integers, flags JSON booleans, and
+    # reals JSON numbers that fit a float; nothing is coerced
     read, good = READERS[kind]
     path = tmp_path / f"{kind}.json"
     path.write_text(json.dumps(good))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratograph import (AbstractGraph, EmbeddedGraph, PointCloud, SampleOptions,
-                         build_graph, classify_all, components, sample_graph)
+from stratograph import (AbstractGraph, EmbeddedGraph, NeighborhoodGraph, PointCloud,
+                         SampleOptions, assign_incidence, build_graph, classify_all,
+                         cluster_edges, cluster_vertices, components, sample_graph)
 from stratograph.neighbors import (_BLOCK, _BLOCK_CANDIDATES, _CANDIDATE_SHARE,
                                   query_blocks)
 from conftest import traced_peak
@@ -331,9 +332,11 @@ def test_graph_sized_blocks_memory_bounded_by_csr():
     # an 8x8 grid graph with 4-unit edges at eps 0.1 (8,912 samples, about
     # 106k CSR entries) gets blocks sized to the graph: about 4x fewer
     # classifier blocks and 3x fewer component blocks than at the fixed
-    # floors.  They peak near 2.3x (classify) and 1.2x (components) the
+    # floors.  They peak near 2.3x (classify) and 1.0x (components) the
     # CSR, against 1.5x and 0.8x at the floors; a single uncapped block
-    # peaks near 89x and 25x
+    # peaks near 89x and 25x.  Edge clusters and incidence read the CSR
+    # rows of the dimension-1 samples in blocks and peak near 0.5x and
+    # 0.3x; one fetch of all those rows peaks near 2.7x for either
     side, eps = 8, 0.1
     edges = ([(v, v + side) for v in range(side * (side - 1))]
              + [(v, v + 1) for v in range(side * side) if v % side != side - 1])
@@ -343,26 +346,53 @@ def test_graph_sized_blocks_memory_bounded_by_csr():
     g = build_graph(cloud, 3.0 * eps)
     assert len(cloud) > 8000
     csr = g.indptr.nbytes + g.indices.nbytes
-    for name, call in (("classify_all", lambda: classify_all(cloud, g)),
-                       ("components", lambda: components(g, range(len(cloud)),
-                                                         10.0 * eps))):
+    labels = classify_all(cloud, g)
+    vc, ec = cluster_vertices(cloud, g, labels), cluster_edges(cloud, g, labels)
+    for name, bound, call in (
+            ("classify_all", 3, lambda: classify_all(cloud, g)),
+            ("components", 3, lambda: components(g, range(len(cloud)), 10.0 * eps)),
+            ("cluster_edges", 1, lambda: cluster_edges(cloud, g, labels)),
+            ("assign_incidence", 1, lambda: assign_incidence(cloud, g, vc, ec))):
         _, _, peak = traced_peak(call)
-        assert peak < 3 * csr, name
+        assert peak < bound * csr, name
 
 
-def test_query_blocks_cover_rows_once_in_order():
+@pytest.mark.parametrize("radius", [0.05, 0.1])
+def test_query_blocks_cover_rows_once_in_order(radius):
+    # at the graph's radius (0.05) the rows come from its CSR, at 0.1
+    # from the tree; either way a block is the tree's query of its rows
     rng = np.random.default_rng(41)
     pts = rng.uniform(0, 1, (500, 2))
     g = build_graph(PointCloud(pts, 0.1), 0.05)
     rows = rng.permutation(500)[:300]
     walked = []
-    for sel, counts, indices in query_blocks(g, rows, 0.1):
+    for sel, counts, indices in query_blocks(g, rows, radius):
         assert 1 <= len(sel) <= _BLOCK
-        want_ptr, want_idx = g.query(pts[rows[sel]], 0.1)
+        want_ptr, want_idx = g.query(pts[rows[sel]], radius)
         assert counts.tolist() == np.diff(want_ptr).tolist()
         assert indices.tolist() == want_idx.tolist()
         walked += sel.tolist()
     assert walked == list(range(300))
+
+
+@pytest.mark.parametrize("pts, radius, want", [
+    # points 0, 1 and 3 are twins at distance 0: each keeps the others
+    ([(0.0, 0.0), (0.0, 0.0), (0.1, 0.0), (0.0, 0.0), (5.0, 5.0)], 0.2,
+     [[4], [0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2, 3]]),
+    (TIE_PAIR, TIE_RADIUS, [[0, 1], [0, 1]]),
+])
+def test_query_blocks_at_graph_radius_put_own_point_back(monkeypatch, pts, radius,
+                                                          want):
+    # rows at the graph's radius come from its CSR alone, with the row's
+    # own point once, in order, and in blocks of one row or of all
+    g = build_graph(PointCloud(pts, 0.1), radius)
+    assert balls(g, np.array(pts)[::-1], radius) == want
+    monkeypatch.setattr(NeighborhoodGraph, "query", None)
+    for budget in (1, None):
+        walked = [part.tolist() for _, counts, indices
+                  in query_blocks(g, np.arange(len(pts))[::-1], radius, budget)
+                  for part in np.split(indices, np.cumsum(counts)[:-1])]
+        assert walked == want
 
 
 def test_query_blocks_hold_at_most_their_budget():

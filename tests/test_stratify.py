@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from stratograph import (AbstractGraph, DimensionLabels, IncidenceError, PointCloud,
-                         build_graph, classify_all, cluster_edges,
-                         cluster_vertices, assign_incidence,
+from stratograph import (AbstractGraph, DimensionLabels, IncidenceError,
+                         NeighborhoodGraph, PointCloud, build_graph, classify_all,
+                         cluster_edges, cluster_vertices, assign_incidence,
                          reconstruct_structure, sample_graph, SampleOptions,
                          EmbeddedGraph, graph_isomorphic)
 from conftest import EPS, EMBED_2D, star_cloud
@@ -120,27 +120,25 @@ def test_assign_incidence_respects_link_threshold():
     cloud = PointCloud(seg, EPS)
     vertex_clusters = [[0], [30]]
     edge_clusters = [list(range(1, 30))]
-    graph = build_graph(cloud, 3.0 * EPS)
-    # shrinking the link radius below the sample gap breaks incidence
+    assert assign_incidence(cloud, build_graph(cloud, 3.0 * EPS), vertex_clusters,
+                            edge_clusters) == [(0, 1)]
+    # a graph whose radius is below the sample gap breaks incidence
     with pytest.raises(IncidenceError):
-        assign_incidence(cloud, graph, vertex_clusters, edge_clusters,
-                         link_threshold=0.05)
+        assign_incidence(cloud, build_graph(cloud, 0.05), vertex_clusters,
+                         edge_clusters)
 
 
-def incidence_per_cluster(cloud, graph, vertex_clusters, edge_clusters,
-                          link_threshold=None):
-    """Reference: one radius query and one set of touched vertex clusters
-    per edge cluster, in order; the first cluster that does not touch
-    exactly two raises."""
-    if link_threshold is None:
-        link_threshold = 3.0 * cloud.epsilon
+def incidence_per_cluster(cloud, graph, vertex_clusters, edge_clusters):
+    """Reference: one tree query at the graph's radius and one set of
+    touched vertex clusters per edge cluster, in order; the first cluster
+    that does not touch exactly two raises."""
     pts = cloud.array
     owner = np.full(len(pts), -1)
     for v_id, cluster in enumerate(vertex_clusters):
         owner[list(cluster)] = v_id
     incidence = []
     for e_id, cluster in enumerate(edge_clusters):
-        _, near = graph.query(pts[list(cluster)], link_threshold)
+        _, near = graph.query(pts[list(cluster)], graph.radius)
         touched = set(owner[near].tolist()) - {-1}
         if len(touched) != 2:
             raise IncidenceError(e_id, touched)
@@ -159,9 +157,11 @@ def outcome(fn, *args, **kwargs):
 
 
 def test_assign_incidence_matches_per_cluster_reference(truth_2d, truth_3d):
-    # passing clouds, link thresholds that break incidence (too short:
-    # clusters touch fewer than two; too long: more than two); the edge
-    # clusters' members span several query blocks, which straddle clusters
+    # passing clouds, and graphs at link radii that break incidence (too
+    # short: clusters touch fewer than two; too long: more than two); the
+    # edge clusters' members span several query blocks, which straddle
+    # clusters.  assign_incidence reads the graph's CSR rows, the
+    # reference asks the tree at the graph's radius
     seen = set()
     for truth, opts in ((truth_2d, SampleOptions(seed=4)),
                         (truth_3d, SampleOptions(seed=6)),
@@ -173,8 +173,9 @@ def test_assign_incidence_matches_per_cluster_reference(truth_2d, truth_3d):
         ec = cluster_edges(cloud, graph, labels)
         assert sum(map(len, ec)) > 2 * 64
         for link in (None, 0.02, 0.08, 1.0, 2.0, 8.0):
-            got = outcome(assign_incidence, cloud, graph, vc, ec, link)
-            assert got == outcome(incidence_per_cluster, cloud, graph, vc, ec, link)
+            at_link = graph if link is None else build_graph(cloud, link)
+            got = outcome(assign_incidence, cloud, at_link, vc, ec)
+            assert got == outcome(incidence_per_cluster, cloud, at_link, vc, ec)
             seen.add(got[0] if isinstance(got, tuple) else "ok")
         # edge clusters in reverse order, and one cluster dropped
         for edges in (ec[::-1], ec[1:]):
@@ -219,6 +220,30 @@ def test_assign_incidence_errors_match_per_cluster_reference():
     assert got[6] == got[1]
 
 
+class TreeAsked(Exception):
+    pass
+
+
+def test_stages_at_graph_radius_never_ask_the_tree(monkeypatch, truth_2d,
+                                                   five_vertex_graph):
+    # edge clusters and incidence read the graph's CSR rows; the 10-eps
+    # vertex clusters still ask the tree
+    cloud = sample_graph(truth_2d, EPS, SampleOptions(seed=4))
+    graph = build_graph(cloud, 3.0 * EPS)
+    labels = classify_all(cloud, graph)
+    vc = cluster_vertices(cloud, graph, labels)
+
+    def refuse(self, qs, radius):
+        raise TreeAsked(radius)
+
+    monkeypatch.setattr(NeighborhoodGraph, "query", refuse)
+    ec = cluster_edges(cloud, graph, labels)
+    incidence = assign_incidence(cloud, graph, vc, ec)
+    assert graph_isomorphic(AbstractGraph(len(vc), incidence), five_vertex_graph)
+    with pytest.raises(TreeAsked):
+        cluster_vertices(cloud, graph, labels)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_thresholds_rejected(value):
     seg = [(0.1 * k, 0.0) for k in range(31)]
@@ -229,12 +254,6 @@ def test_non_finite_thresholds_rejected(value):
         cluster_vertices(cloud, graph, labels, threshold=value)
     with pytest.raises(ValueError, match="finite"):
         cluster_vertices(cloud, graph, DimensionLabels([1] * 31), threshold=value)
-    with pytest.raises(ValueError, match="finite"):
-        cluster_edges(cloud, graph, labels, threshold=value)
-    with pytest.raises(ValueError, match="finite") as info:
-        assign_incidence(cloud, graph, [[0], [30]], [list(range(1, 30))],
-                         link_threshold=value)
-    assert not isinstance(info.value, IncidenceError)
 
 
 def test_reconstruct_structure_five_vertex_graph(truth_2d, five_vertex_graph):
