@@ -18,9 +18,10 @@ reference in ``tests/test_dimension.py`` evaluates (a), (b), (c) in that
 order on one ball; ``classify_all`` gives its label on every sample but
 runs the annulus test first and the ball test only where the annulus
 gives 0, so most samples on an edge never need the larger ball graph.
-It takes balls in blocks of at most ``_BLOCK_MEMBERS`` or three
-quarters of the cloud's points, whichever is more, from
-``neighbors.query_blocks``, and pairs from the neighbourhood graph's CSR
+It takes the neighbourhood graph alone and reads the points and
+epsilon from its cloud.  It takes balls in blocks of at most
+``_BLOCK_MEMBERS`` or three quarters of the cloud's points, whichever
+is more, from ``neighbors.query_blocks``, and pairs from the graph's CSR
 rows: apart from one index and two flags per pair, its working set is
 bounded by one block, and so by a fixed share of the CSR the graph holds.
 
@@ -38,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DimensionLabels, PointCloud, row_dots
+from .core import DimensionLabels, row_dots
 from .geometry import sq_dists
 from .neighbors import NeighborhoodGraph, _gather, _min_labels, query_blocks
 
@@ -219,18 +220,18 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
     return out
 
 
-def classify_all(cloud: PointCloud, graph: NeighborhoodGraph,
+def classify_all(graph: NeighborhoodGraph,
                  params: ClassifierParams | None = None) -> DimensionLabels:
-    """Classify every sample with the per-ball tests (a), (b), (c), in the
-    order and the blocks the module docstring gives.
+    """Classify every sample of ``graph.cloud`` with the per-ball tests (a),
+    (b), (c), in the order and the blocks the module docstring gives.
 
-    Components come from the pairs of the graph's CSR neighbours, tested
-    with the same squared-distance comparison as the per-ball reference,
-    or of a graph at that threshold when it exceeds ``graph.radius``.
+    Components come from the pairs of the graph's CSR rows, tested with
+    the same squared-distance comparison as the per-ball reference, or of
+    a graph at that threshold when it exceeds ``graph.radius``.
     """
     if params is None:
-        params = ClassifierParams.from_epsilon(cloud.epsilon)
-    pts = cloud.array
+        params = ClassifierParams.from_epsilon(graph.cloud.epsilon)
+    pts = graph.cloud.array
     n = len(pts)
     reach = max(params.annulus_edge_threshold, params.ball_edge_threshold)
     nbrs = graph if reach <= graph.radius else NeighborhoodGraph(graph.cloud, reach)

@@ -16,11 +16,15 @@ identical values produce identical bytes and round-trip exactly.  Reads
 take indices, counts and flags only as JSON integers and booleans, and
 reals (coordinates, epsilon, thetas, objective) only as JSON numbers, not
 strings or booleans; an integer too large for a float is a format error.
+A CSV field must be an ASCII decimal literal that fits a float (spaces
+around it allowed), or ``nan``, ``inf`` or ``-inf`` as ``repr`` writes
+them; those read as such, for the cloud's validation to refuse.
 """
 from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 
@@ -98,6 +102,21 @@ def _real(value) -> float:
     return float(value)
 
 
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|-?inf|nan")
+
+
+def _csv_real(field: str) -> float:
+    """A CSV field that fully matches ``_DECIMAL``, as a float; only the
+    spellings ``inf`` and ``-inf`` may read as infinite."""
+    field = field.strip()
+    if not _DECIMAL.fullmatch(field):
+        raise ValueError(f"not a decimal number: {field!r}")
+    value = float(field)
+    if np.isinf(value) and not field.endswith("inf"):
+        raise ValueError(f"{field!r} overflows a float")
+    return value
+
+
 def _numbers(path: str, key: str, value, kind=_real) -> list:
     """``kind`` of each entry of the JSON array ``value``."""
     return _convert(path, key, value, lambda v: [kind(x) for x in _listed(v)])
@@ -166,7 +185,7 @@ def read_cloud(path: str, format: str | None = None,
                 raise FormatError(f"{path}: row {row} has {len(fields)} "
                                   f"fields, expected {width}")
             try:
-                points.append([float(f) for f in fields])
+                points.append([_csv_real(f) for f in fields])
             except ValueError as exc:
                 raise FormatError(f"{path}: row {row}: {exc}") from exc
     return PointCloud(points, float(epsilon))

@@ -12,12 +12,13 @@ arithmetic never decides a tie.
 
 Every pass over many rows (the graph's own CSR, the classifier's balls,
 ``components`` and incidence) takes them in blocks from ``query_blocks``,
-so it holds one block's pairs at a time; passes at the graph's radius
-read its CSR rows, so the tree is asked only at other radii.  Block
-limits are sized to the graph: each is the larger of a fixed floor and
-a fixed share of the graph's CSR entries, so a large graph runs in
-fewer and larger blocks, and a block stays a bounded share of the
-memory the graph holds.
+so it holds one block's pairs at a time.  Row i of the graph's CSR is
+the query row of point i at its radius, i itself included, so passes at
+that radius read the CSR rows as they are and the tree is asked only at
+other radii.  Block limits are sized to the graph: each is the larger
+of a fixed floor and a fixed share of the graph's CSR entries, so a
+large graph runs in fewer and larger blocks, and a block stays a
+bounded share of the memory the graph holds.
 ``components`` returns ascending index arrays ordered by their smallest
 member.
 """
@@ -70,8 +71,8 @@ _CANDIDATE_SHARE = 32
 class NeighborhoodGraph:
     """Graph connecting sample indices whose distance is at most ``radius``.
 
-    Row i of the CSR arrays ``indptr`` / ``indices`` lists the neighbours
-    of sample i other than i itself, in ascending order.
+    Row i of the CSR arrays ``indptr`` / ``indices`` is ``query`` of sample
+    i at ``radius``: the samples within it, i itself once, ascending.
     """
 
     def __init__(self, cloud: PointCloud, radius: float):
@@ -81,11 +82,10 @@ class NeighborhoodGraph:
         self.radius = float(radius)
         self.tree = cKDTree(cloud.array)
         counts, parts = [], []
-        for sel, cnt, indices in query_blocks(self, np.arange(len(cloud.array)),
-                                              self.radius, _BLOCK_CANDIDATES):
-            # every row holds its own point once: distance 0 <= radius
-            counts.append(cnt - 1)
-            parts.append(indices[indices != np.repeat(sel, cnt)])
+        for _, cnt, indices in query_blocks(self, np.arange(len(cloud.array)),
+                                            self.radius, _BLOCK_CANDIDATES):
+            counts.append(cnt)
+            parts.append(indices)
         self.indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
         self.indices = np.concatenate(parts)
 
@@ -94,7 +94,7 @@ class NeighborhoodGraph:
         return len(self.indptr) - 1
 
     def edge_count(self) -> int:
-        return len(self.indices) // 2
+        return (len(self.indices) - self.n_points) // 2
 
     def query(self, qs, radius: float):
         """CSR ``(indptr, indices)``: row k lists the cloud points p with
@@ -186,17 +186,12 @@ def _gather(indptr: np.ndarray, rows: np.ndarray):
 
 def _fetch(graph: NeighborhoodGraph, rows: np.ndarray, radius: float):
     """Row counts and flat indices of ``graph.query`` of the points ``rows``:
-    at the graph's radius, once ``__init__`` has built them, its CSR rows
-    with each row's own point put back in order."""
+    at the graph's radius, once ``__init__`` has built them, its CSR rows."""
     if radius != graph.radius or not hasattr(graph, "indices"):
         indptr, flat = graph.query(graph.cloud.array[rows], radius)
         return np.diff(indptr), flat
     counts, at = _gather(graph.indptr, rows)
-    near = graph.indices[at]
-    del at  # so that at most three arrays of the fetch's length are held
-    base = np.arange(len(rows)) * graph.n_points  # keys ascend row by row
-    own = np.searchsorted(np.repeat(base, counts) + near, base + rows)
-    return counts + 1, np.insert(near, own, rows)
+    return counts, graph.indices[at]
 
 
 def _min_labels(n_nodes: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:

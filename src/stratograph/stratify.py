@@ -6,11 +6,13 @@ generous threshold (10*eps by default: vertex neighborhoods are wide but
 well separated).  Edge clusters use the neighbourhood graph's own radius,
 the 3*eps that ``reconstruct_structure`` builds it at, and each must
 touch exactly two vertex clusters within that radius; those two become
-the edge's endpoints.  Clusters are the ascending index arrays of
-``neighbors.components``, and incidence comes from one pass of
-``neighbors.query_blocks`` over all edge-cluster members, so both read
-the graph's CSR rows in blocks of bounded size; only the vertex clusters
-ask the tree.  ``Stratification`` then holds the partition.
+the edge's endpoints.  Each stage takes the neighbourhood graph alone
+and reads the points, epsilon and size from its cloud.  Clusters are
+the ascending index arrays of ``neighbors.components``, and incidence
+comes from one pass of ``neighbors.query_blocks`` over all edge-cluster
+members, so both read the graph's CSR rows in blocks of bounded size;
+only the vertex clusters ask the tree.  ``Stratification`` then holds
+the partition.
 """
 from __future__ import annotations
 
@@ -35,24 +37,22 @@ class IncidenceError(ValueError):
                          f"clusters {list(self.candidates)}, expected exactly 2")
 
 
-def cluster_vertices(cloud: PointCloud, graph: NeighborhoodGraph,
-                     labels: DimensionLabels, threshold: float | None = None) -> list:
+def cluster_vertices(graph: NeighborhoodGraph, labels: DimensionLabels,
+                     threshold: float | None = None) -> list:
     """Components of the dimension-0 samples at ``threshold`` (10*eps by
     default); one cluster per vertex, as ascending index arrays ordered by
     smallest member."""
     if threshold is None:
-        threshold = 10.0 * cloud.epsilon
+        threshold = 10.0 * graph.cloud.epsilon
     return components(graph, labels.indices_of(0), threshold)
 
 
-def cluster_edges(cloud: PointCloud, graph: NeighborhoodGraph,
-                  labels: DimensionLabels) -> list:
+def cluster_edges(graph: NeighborhoodGraph, labels: DimensionLabels) -> list:
     """Components of the dimension-1 samples at the graph's radius."""
     return components(graph, labels.indices_of(1), graph.radius)
 
 
-def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
-                     vertex_clusters, edge_clusters) -> list:
+def assign_incidence(graph: NeighborhoodGraph, vertex_clusters, edge_clusters) -> list:
     """Match each edge cluster with the two vertex clusters it runs between.
 
     A vertex cluster is incident when any of its points lies within the
@@ -66,7 +66,7 @@ def assign_incidence(cloud: PointCloud, graph: NeighborhoodGraph,
     ``query_blocks``, and each block's hits are reduced to distinct
     (edge cluster, vertex cluster) pairs.
     """
-    owner = np.full(len(cloud), -1)
+    owner = np.full(graph.n_points, -1)
     for v_id, cluster in enumerate(vertex_clusters):
         owner[np.fromiter(cluster, dtype=int)] = v_id
     n_vertex = max(1, len(vertex_clusters))
@@ -93,9 +93,9 @@ def reconstruct_structure(cloud: PointCloud, params: ClassifierParams | None = N
                           vertex_threshold: float | None = None) -> Stratification:
     """Full structure recovery: label dimensions, cluster, wire up incidence."""
     graph = build_graph(cloud, 3.0 * cloud.epsilon)
-    labels = classify_all(cloud, graph, params)
-    vertex_clusters = cluster_vertices(cloud, graph, labels, vertex_threshold)
-    edge_clusters = cluster_edges(cloud, graph, labels)
-    incidence = assign_incidence(cloud, graph, vertex_clusters, edge_clusters)
+    labels = classify_all(graph, params)
+    vertex_clusters = cluster_vertices(graph, labels, vertex_threshold)
+    edge_clusters = cluster_edges(graph, labels)
+    incidence = assign_incidence(graph, vertex_clusters, edge_clusters)
     return Stratification(vertex_clusters, edge_clusters, incidence,
                           n_points=len(cloud))

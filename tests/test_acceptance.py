@@ -157,7 +157,7 @@ def test_criterion_04_classifier_guarantees():
         nonlocal checked
         pts = cloud.array
         graph = build_graph(cloud, 3 * cloud.epsilon)
-        labels = classify_all(cloud, graph).labels
+        labels = classify_all(graph).labels
         vdist = np.sqrt(((pts[:, None, :] - np.asarray(vertices)[None, :, :])
                          ** 2).sum(axis=2)).min(axis=1)
         for i in range(len(pts)):

@@ -290,20 +290,29 @@ GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
     ("cloud.csv.meta.json", {"epsilon": "0.1"}, "'epsilon'"),
     ("cloud.csv.meta.json", {"epsilon": 10 ** 400}, "'epsilon'"),
     ("fit.json", {**GOOD_FIT, "thetas": [True]}, "'thetas'"),
+    # a CSV field is an ASCII decimal literal that fits a float
+    pytest.param("cloud.csv", "0,0\n1_0,0\n", "row 2", id="cloud.csv-1_0"),
+    pytest.param("cloud.csv", "0,0\n\u0661,0\n", "row 2", id="cloud.csv-arabic-digit"),
+    pytest.param("cloud.csv", "0,0\n" + "9" * 401 + ",0\n", "row 2",
+                 id="cloud.csv-401-digits"),
+    pytest.param("cloud.csv", "0,0\n1,1e400\n", "row 2", id="cloud.csv-1e400"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_json_values_exit_2(tmp_path, capsys, segment_file, name,
                                      content, position):
     files = {"cloud.json": GOOD_CLOUD, "fit.json": GOOD_FIT,
-             "strat.json": GOOD_STRAT, name: content}
+             "strat.json": GOOD_STRAT, "cloud.csv": "0,0\n1,0\n",
+             "cloud.csv.meta.json": {"epsilon": EPS}, name: content}
     for file, data in files.items():
-        (tmp_path / file).write_text(json.dumps(data))
-    (tmp_path / "cloud.csv").write_text("0,0\n1,0\n")
+        (tmp_path / file).write_text(data if isinstance(data, str) else json.dumps(data),
+                                     encoding="utf-8")
     graph = tmp_path / "graph.json" if name == "graph.json" else segment_file
     command = {
         "cloud.json": ["emit-plot", "--cloud", tmp_path / "cloud.json",
                        "--stratification", tmp_path / "strat.json"],
         "cloud.csv.meta.json": ["emit-plot", "--cloud", tmp_path / "cloud.csv",
                                 "--stratification", tmp_path / "strat.json"],
+        "cloud.csv": ["emit-plot", "--cloud", tmp_path / "cloud.csv",
+                      "--stratification", tmp_path / "strat.json"],
         "graph.json": ["generate", "--graph", graph, "--epsilon", EPS],
         "fit.json": ["evaluate", "--fitted", tmp_path / "fit.json",
                      "--truth", segment_file],
@@ -455,6 +464,22 @@ def test_zero_coordinate_cloud_exits_1(tmp_path, capsys, points):
     assert code == 1
     assert captured.err.startswith(
         "error: invalid point cloud: points need at least one coordinate")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_csv_non_finite_spellings_exit_1(tmp_path, capsys, field):
+    # what repr writes for a non-finite float reads as that float, and the
+    # cloud's validation refuses it as bad input
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text(f"0,0\n1,{field}\n")
+    out = tmp_path / "strat.json"
+    code = run(["reconstruct", "--cloud", cloud, "--epsilon", EPS, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith(
+        "error: invalid point cloud: non-finite coordinate at index 1")
     assert len(captured.err.splitlines()) == 1
     assert not out.exists()
 

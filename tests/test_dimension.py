@@ -89,7 +89,7 @@ def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
 
 def classify_cloud(cloud, params=None):
     graph = build_graph(cloud, 3.0 * cloud.epsilon)
-    return classify_all(cloud, graph, params).labels
+    return classify_all(graph, params).labels
 
 
 def test_params_defaults_and_validation():
@@ -177,7 +177,7 @@ def test_local_ball_tie_included(center, stray, local_radius):
         cloud = PointCloud(_star_with_stray(center, point), EPS)
         graph = build_graph(cloud, 3.0 * EPS)
         assert classify_point(cloud, graph, 0, params) == want
-        assert classify_all(cloud, graph, params).labels[0] == want
+        assert classify_all(graph, params).labels[0] == want
 
 
 def test_right_angle_corner_is_dimension_zero():
@@ -281,7 +281,7 @@ def parallel_strands(gap=5.0 * EPS, half_steps=60):
 
 def assert_matches_classify_point(cloud, params):
     graph = build_graph(cloud, 3.0 * cloud.epsilon)
-    batched = classify_all(cloud, graph, params).labels
+    batched = classify_all(graph, params).labels
     single = [classify_point(cloud, graph, i, params) for i in range(len(cloud))]
     assert batched.tolist() == single
     return batched

@@ -67,6 +67,47 @@ def test_cloud_csv_non_numeric_names_line(tmp_path):
         read_cloud(str(path), epsilon=0.1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("-1.5e+3", -1500.0),
+    (" +.5 ", 0.5),
+    ("1.", 1.0),
+    ("5e-324", 5e-324),
+    ("1e-400", 0.0),
+    ("-0.0", -0.0),
+    # the spellings repr gives non-finite floats read as such; the cloud's
+    # validation refuses them
+    ("nan", None),
+    ("inf", float("inf")),
+    ("-inf", -float("inf")),
+    # anything else float() would take is no CSV number
+    ("1_0", FormatError),
+    ("\u0661", FormatError),
+    ("0x10", FormatError),
+    ("Infinity", FormatError),
+    ("NaN", FormatError),
+    ("+inf", FormatError),
+    ("1 0", FormatError),
+    ("", FormatError),
+    ("1e", FormatError),
+    # finite literals beyond a float's range
+    ("1e400", FormatError),
+    ("-1e400", FormatError),
+    pytest.param("9" * 401, FormatError, id="401-digits"),
+])
+def test_cloud_csv_fields_are_decimal_numbers(tmp_path, field, value):
+    path = tmp_path / "c.csv"
+    path.write_text(f"0,0\n1,{field}\n", encoding="utf-8")
+    if value is FormatError:
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: row 2: "):
+            read_cloud(str(path), epsilon=0.1)
+        return
+    got = read_cloud(str(path), epsilon=0.1).points[1][1]
+    if value is None:
+        assert np.isnan(got)
+    else:
+        assert got == value and np.signbit(got) == np.signbit(value)
+
+
 def test_cloud_csv_without_epsilon_rejected(tmp_path):
     path = tmp_path / "naked.csv"
     path.write_text("0,0\n1,0\n")

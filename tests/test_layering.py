@@ -1,5 +1,7 @@
 """Module layering: each module imports only the modules below it."""
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -93,3 +95,17 @@ def test_no_builtin_sum():
                  and node.func.id == "sum"]
         assert not calls, (f"{path.name} calls the builtin sum on lines {calls}, whose "
                            f"float result depends on the Python version")
+
+
+def test_stages_take_the_graph_alone():
+    # a graph carries its cloud, so a function that took both could be
+    # handed a cloud other than the graph's and would not notice
+    for name in ("neighbors", "dimension", "stratify"):
+        module = importlib.import_module(f"stratograph.{name}")
+        for attr, fn in vars(module).items():
+            if (attr.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != module.__name__):
+                continue
+            params = inspect.signature(fn).parameters
+            assert not {"cloud", "graph"} <= set(params), (
+                f"{name}.{attr} takes both a cloud and a graph")

@@ -21,7 +21,7 @@ TIE_RADIUS = 1.1630034997814065
 
 
 def row(g, i):
-    """Neighbours of sample i in the graph's CSR rows."""
+    """Row i of the graph's CSR, as it is stored: sample i itself included."""
     return g.indices[g.indptr[i]:g.indptr[i + 1]].tolist()
 
 
@@ -89,32 +89,34 @@ def bfs_partition(adjacency, subset, pts, max_edge):
 def test_build_graph_spec_example():
     cloud = PointCloud([(0, 0), (0.2, 0), (1, 0)], 0.1)
     g = build_graph(cloud, 0.3)
-    assert row(g, 0) == [1]
-    assert row(g, 1) == [0]
-    assert row(g, 2) == []
+    assert row(g, 0) == [0, 1]
+    assert row(g, 1) == [0, 1]
+    assert row(g, 2) == [2]
 
 
 def test_build_graph_empty_below_min_distance():
     cloud = PointCloud([(0, 0), (1, 0), (0, 1)], 0.1)
     g = build_graph(cloud, 0.5)
-    assert g.indptr.tolist() == [0, 0, 0, 0] and len(g.indices) == 0
+    assert g.indptr.tolist() == [0, 1, 2, 3] and g.indices.tolist() == [0, 1, 2]
+    assert g.edge_count() == 0
 
 
 def test_build_graph_tie_at_radius_included():
     cloud = PointCloud([(0, 0), (0.3, 0)], 0.1)
     g = build_graph(cloud, 0.3)
-    assert row(g, 0) == [1]
+    assert row(g, 0) == [0, 1]
 
 
 def test_build_graph_tie_lost_by_tree_arithmetic_included():
     g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS)
-    assert row(g, 0) == [1]
+    assert row(g, 0) == [0, 1]
 
 
 def test_build_graph_duplicates_adjacent():
     cloud = PointCloud([(1, 1), (1, 1)], 0.1)
     g = build_graph(cloud, 0.05)
-    assert row(g, 0) == [1]
+    assert row(g, 0) == [0, 1] and row(g, 1) == [0, 1]
+    assert g.edge_count() == 1
 
 
 def test_build_graph_matches_allpairs_oracle():
@@ -124,7 +126,7 @@ def test_build_graph_matches_allpairs_oracle():
     g = build_graph(cloud, 0.1)
     oracle = brute_adjacency(pts, 0.1)
     for i in range(len(pts)):
-        assert row(g, i) == sorted(oracle[i])
+        assert row(g, i) == sorted(oracle[i] | {i})
 
 
 def test_build_graph_oracle_3d_2000_points():
@@ -134,7 +136,7 @@ def test_build_graph_oracle_3d_2000_points():
     g = build_graph(cloud, 0.15)
     oracle = brute_adjacency(pts, 0.15)
     for i in range(len(pts)):
-        assert row(g, i) == sorted(oracle[i])
+        assert row(g, i) == sorted(oracle[i] | {i})
 
 
 def test_components_chain_examples():
@@ -159,7 +161,7 @@ def test_components_threshold_above_radius_matches_bfs_oracle():
 
 def test_components_tie_above_radius_included():
     g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS / 4)
-    assert row(g, 0) == []
+    assert row(g, 0) == [0]
     assert len(components(g, [0, 1], TIE_RADIUS)) == 1
     below = np.nextafter(TIE_RADIUS, 0.0)
     assert len(components(g, [0, 1], below)) == 2
@@ -275,14 +277,15 @@ def test_query_csr_matches_allpairs_oracle(dim, n, seed):
     for radius in (0.02, 0.07, 0.15):
         g = build_graph(PointCloud(pts, 0.1), radius)
         oracle = brute_adjacency(pts, radius)
-        assert balls(g, pts, radius) == [sorted(oracle[i] | {i}) for i in range(n)]
-        assert [row(g, i) for i in range(n)] == [sorted(nb) for nb in oracle]
+        want = [sorted(oracle[i] | {i}) for i in range(n)]
+        assert balls(g, pts, radius) == want
+        assert [row(g, i) for i in range(n)] == balls(g, pts, radius)
         assert g.edge_count() == sum(map(len, oracle)) // 2
 
 
 def test_query_csr_tie_pair():
     g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS)
-    assert g.indptr.tolist() == [0, 1, 2] and g.indices.tolist() == [1, 0]
+    assert g.indptr.tolist() == [0, 2, 4] and g.indices.tolist() == [0, 1, 0, 1]
     assert balls(g, TIE_PAIR, TIE_RADIUS) == [[0, 1], [0, 1]]
     assert balls(g, TIE_PAIR, np.nextafter(TIE_RADIUS, 0.0)) == [[0], [1]]
 
@@ -315,25 +318,32 @@ def test_components_rejects_non_finite_threshold(threshold):
         components(g, [], threshold)
 
 
+def self_free_bytes(g):
+    """Bytes of the graph's CSR without each row's own entry, so that a
+    bound taken from it does not grow with the rows' own points."""
+    return g.indptr.nbytes + g.indices.nbytes - g.indices.itemsize * g.n_points
+
+
 def test_build_graph_memory_bounded_by_query_blocks():
     # about 80 neighbours per point: a single tree call over all rows
     # holds every candidate pair with its coordinate differences, and
-    # peaks above six times the CSR it returns; blocks of rows, each
-    # dropping its self column, stay under three times it
+    # peaks above six times the CSR it returns; blocks of rows stay under
+    # three times it
     rng = np.random.default_rng(29)
     cloud = PointCloud(rng.uniform(0, 1, (4000, 3)), 0.01)
     cloud.array
     g, _, peak = traced_peak(lambda: build_graph(cloud, 0.18))
     assert g.edge_count() > 150_000
-    assert peak < 3 * (g.indptr.nbytes + g.indices.nbytes)
+    assert peak < 3 * self_free_bytes(g)
 
 
 def test_graph_sized_blocks_memory_bounded_by_csr():
     # an 8x8 grid graph with 4-unit edges at eps 0.1 (8,912 samples, about
-    # 106k CSR entries) gets blocks sized to the graph: about 4x fewer
-    # classifier blocks and 3x fewer component blocks than at the fixed
-    # floors.  They peak near 2.3x (classify) and 1.0x (components) the
-    # CSR, against 1.5x and 0.8x at the floors; a single uncapped block
+    # 106k CSR entries besides the rows' own points, which the bounds leave
+    # out) gets blocks sized to the graph: about 4x fewer classifier blocks
+    # and 3x fewer component blocks than at the fixed floors.  They peak
+    # near 2.3x (classify) and 1.1x (components) the CSR, against 1.5x and
+    # 0.8x at the floors; a single uncapped block
     # peaks near 89x and 25x.  Edge clusters and incidence read the CSR
     # rows of the dimension-1 samples in blocks and peak near 0.5x and
     # 0.3x; one fetch of all those rows peaks near 2.7x for either
@@ -345,14 +355,14 @@ def test_graph_sized_blocks_memory_bounded_by_csr():
     cloud = sample_graph(truth, eps, SampleOptions(seed=17))
     g = build_graph(cloud, 3.0 * eps)
     assert len(cloud) > 8000
-    csr = g.indptr.nbytes + g.indices.nbytes
-    labels = classify_all(cloud, g)
-    vc, ec = cluster_vertices(cloud, g, labels), cluster_edges(cloud, g, labels)
+    csr = self_free_bytes(g)
+    labels = classify_all(g)
+    vc, ec = cluster_vertices(g, labels), cluster_edges(g, labels)
     for name, bound, call in (
-            ("classify_all", 3, lambda: classify_all(cloud, g)),
+            ("classify_all", 3, lambda: classify_all(g)),
             ("components", 3, lambda: components(g, range(len(cloud)), 10.0 * eps)),
-            ("cluster_edges", 1, lambda: cluster_edges(cloud, g, labels)),
-            ("assign_incidence", 1, lambda: assign_incidence(cloud, g, vc, ec))):
+            ("cluster_edges", 1, lambda: cluster_edges(g, labels)),
+            ("assign_incidence", 1, lambda: assign_incidence(g, vc, ec))):
         _, _, peak = traced_peak(call)
         assert peak < bound * csr, name
 
@@ -383,10 +393,11 @@ def test_query_blocks_cover_rows_once_in_order(radius):
 ])
 def test_query_blocks_at_graph_radius_put_own_point_back(monkeypatch, pts, radius,
                                                           want):
-    # rows at the graph's radius come from its CSR alone, with the row's
-    # own point once, in order, and in blocks of one row or of all
+    # rows at the graph's radius come from its CSR alone, which stores the
+    # row's own point once, in order; walked in blocks of one row or of all
     g = build_graph(PointCloud(pts, 0.1), radius)
     assert balls(g, np.array(pts)[::-1], radius) == want
+    assert [row(g, i) for i in range(len(pts))][::-1] == want
     monkeypatch.setattr(NeighborhoodGraph, "query", None)
     for budget in (1, None):
         walked = [part.tolist() for _, counts, indices
@@ -455,8 +466,7 @@ def assert_matches_oracle(pts, radius):
     g = build_graph(PointCloud(pts, 0.1), radius)
     want = einsum_rows(pts, pts, radius)
     assert balls(g, pts, radius) == want
-    assert [row(g, i) for i in range(len(pts))] == [
-        [j for j in w if j != i] for i, w in enumerate(want)]
+    assert [row(g, i) for i in range(len(pts))] == balls(g, pts, radius)
 
 
 # grid coordinates make many exactly tied distances, free ones the rest

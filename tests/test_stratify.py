@@ -19,14 +19,14 @@ def test_cluster_vertices_two_blobs():
     cloud = PointCloud(blob_a + blob_b, EPS)
     graph = build_graph(cloud, 3.0 * EPS)
     labels = DimensionLabels([0] * 10)
-    clusters = cluster_vertices(cloud, graph, labels)
+    clusters = cluster_vertices(graph, labels)
     assert [sorted(c) for c in clusters] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
 
 
 def test_cluster_vertices_empty_when_no_dim0():
     cloud = PointCloud([(0, 0), (0.1, 0)], EPS)
     graph = build_graph(cloud, 3.0 * EPS)
-    assert cluster_vertices(cloud, graph, DimensionLabels([1, 1])) == []
+    assert cluster_vertices(graph, DimensionLabels([1, 1])) == []
 
 
 def test_cluster_vertices_star_single_cluster():
@@ -34,8 +34,8 @@ def test_cluster_vertices_star_single_cluster():
     # blob, so all dim-0 points join one cluster
     cloud = star_cloud(EPS, arms=3, arm_steps=20)
     graph = build_graph(cloud, 3.0 * EPS)
-    labels = classify_all(cloud, graph)
-    clusters = cluster_vertices(cloud, graph, labels)
+    labels = classify_all(graph)
+    clusters = cluster_vertices(graph, labels)
     assert len(clusters) == 1
     assert sorted(clusters[0]) == sorted(labels.indices_of(0).tolist())
 
@@ -45,8 +45,8 @@ def test_cluster_vertices_huge_threshold_single_cluster(truth_3d):
     # bounded by the cloud, not by the threshold
     cloud = sample_graph(truth_3d, EPS, SampleOptions(seed=1))
     graph = build_graph(cloud, 3.0 * EPS)
-    labels = classify_all(cloud, graph)
-    clusters = cluster_vertices(cloud, graph, labels, threshold=1000 * EPS)
+    labels = classify_all(graph)
+    clusters = cluster_vertices(graph, labels, threshold=1000 * EPS)
     assert len(clusters) == 1
     assert list(clusters[0]) == labels.indices_of(0).tolist()
 
@@ -57,7 +57,7 @@ def test_cluster_edges_parallel_segments():
     cloud = PointCloud(seg_a + seg_b, EPS)
     graph = build_graph(cloud, 3.0 * EPS)
     labels = DimensionLabels([1] * 22)
-    clusters = cluster_edges(cloud, graph, labels)
+    clusters = cluster_edges(graph, labels)
     assert [sorted(c) for c in clusters] == [list(range(11)),
                                              list(range(11, 22))]
 
@@ -65,7 +65,7 @@ def test_cluster_edges_parallel_segments():
 def test_cluster_edges_empty_when_no_dim1():
     cloud = PointCloud([(0, 0), (5, 0)], EPS)
     graph = build_graph(cloud, 3.0 * EPS)
-    assert cluster_edges(cloud, graph, DimensionLabels([0, 0])) == []
+    assert cluster_edges(graph, DimensionLabels([0, 0])) == []
 
 
 def test_cluster_threshold_is_parameterized():
@@ -74,8 +74,8 @@ def test_cluster_threshold_is_parameterized():
     graph = build_graph(cloud, 3.0 * EPS)
     labels = DimensionLabels([0, 0, 0])
     # default 10 eps = 1.0 merges the chain; 0.4 splits it
-    assert len(cluster_vertices(cloud, graph, labels)) == 1
-    assert len(cluster_vertices(cloud, graph, labels, threshold=0.4)) == 3
+    assert len(cluster_vertices(graph, labels)) == 1
+    assert len(cluster_vertices(graph, labels, threshold=0.4)) == 3
 
 
 def test_assign_incidence_single_segment():
@@ -84,7 +84,7 @@ def test_assign_incidence_single_segment():
     vertex_clusters = [[0], [30]]
     edge_clusters = [list(range(1, 30))]
     graph = build_graph(cloud, 3.0 * EPS)
-    incidence = assign_incidence(cloud, graph, vertex_clusters, edge_clusters)
+    incidence = assign_incidence(graph, vertex_clusters, edge_clusters)
     assert incidence == [(0, 1)]
 
 
@@ -97,7 +97,7 @@ def test_assign_incidence_tight_loop_raises():
     edge_clusters = [list(range(1, 40))]
     graph = build_graph(cloud, 3.0 * EPS)
     with pytest.raises(IncidenceError) as info:
-        assign_incidence(cloud, graph, vertex_clusters, edge_clusters)
+        assign_incidence(graph, vertex_clusters, edge_clusters)
     assert info.value.edge_cluster == 0
     assert info.value.candidates == (0,)
     assert "expected exactly 2" in str(info.value)
@@ -111,8 +111,7 @@ def test_assign_incidence_parallel_edge_clusters_rejected():
     cloud = PointCloud([(0.0, 0.0), (3.0, 0.0)] + strand_a + strand_b, EPS)
     graph = build_graph(cloud, 3.0 * EPS)
     with pytest.raises(ValueError, match="duplicate edge"):
-        assign_incidence(cloud, graph, [[0], [1]],
-                         [list(range(2, 31)), list(range(31, 60))])
+        assign_incidence(graph, [[0], [1]], [list(range(2, 31)), list(range(31, 60))])
 
 
 def test_assign_incidence_respects_link_threshold():
@@ -120,19 +119,18 @@ def test_assign_incidence_respects_link_threshold():
     cloud = PointCloud(seg, EPS)
     vertex_clusters = [[0], [30]]
     edge_clusters = [list(range(1, 30))]
-    assert assign_incidence(cloud, build_graph(cloud, 3.0 * EPS), vertex_clusters,
+    assert assign_incidence(build_graph(cloud, 3.0 * EPS), vertex_clusters,
                             edge_clusters) == [(0, 1)]
     # a graph whose radius is below the sample gap breaks incidence
     with pytest.raises(IncidenceError):
-        assign_incidence(cloud, build_graph(cloud, 0.05), vertex_clusters,
-                         edge_clusters)
+        assign_incidence(build_graph(cloud, 0.05), vertex_clusters, edge_clusters)
 
 
-def incidence_per_cluster(cloud, graph, vertex_clusters, edge_clusters):
+def incidence_per_cluster(graph, vertex_clusters, edge_clusters):
     """Reference: one tree query at the graph's radius and one set of
     touched vertex clusters per edge cluster, in order; the first cluster
     that does not touch exactly two raises."""
-    pts = cloud.array
+    pts = graph.cloud.array
     owner = np.full(len(pts), -1)
     for v_id, cluster in enumerate(vertex_clusters):
         owner[list(cluster)] = v_id
@@ -168,19 +166,19 @@ def test_assign_incidence_matches_per_cluster_reference(truth_2d, truth_3d):
                         (truth_2d, SampleOptions(seed=7, spacing=EPS / 5))):
         cloud = sample_graph(truth, EPS, opts)
         graph = build_graph(cloud, 3.0 * EPS)
-        labels = classify_all(cloud, graph)
-        vc = cluster_vertices(cloud, graph, labels)
-        ec = cluster_edges(cloud, graph, labels)
+        labels = classify_all(graph)
+        vc = cluster_vertices(graph, labels)
+        ec = cluster_edges(graph, labels)
         assert sum(map(len, ec)) > 2 * 64
         for link in (None, 0.02, 0.08, 1.0, 2.0, 8.0):
             at_link = graph if link is None else build_graph(cloud, link)
-            got = outcome(assign_incidence, cloud, at_link, vc, ec)
-            assert got == outcome(incidence_per_cluster, cloud, at_link, vc, ec)
+            got = outcome(assign_incidence, at_link, vc, ec)
+            assert got == outcome(incidence_per_cluster, at_link, vc, ec)
             seen.add(got[0] if isinstance(got, tuple) else "ok")
         # edge clusters in reverse order, and one cluster dropped
         for edges in (ec[::-1], ec[1:]):
-            got = outcome(assign_incidence, cloud, graph, vc, edges)
-            assert got == outcome(incidence_per_cluster, cloud, graph, vc, edges)
+            got = outcome(assign_incidence, graph, vc, edges)
+            assert got == outcome(incidence_per_cluster, graph, vc, edges)
     assert seen == {"ok", "IncidenceError"}
 
 
@@ -209,8 +207,8 @@ def test_assign_incidence_errors_match_per_cluster_reference():
     got = []
     for cloud, vc, ec in cases:
         graph = build_graph(cloud, 3.0 * EPS)
-        got.append(outcome(assign_incidence, cloud, graph, vc, ec))
-        assert got[-1] == outcome(incidence_per_cluster, cloud, graph, vc, ec)
+        got.append(outcome(assign_incidence, graph, vc, ec))
+        assert got[-1] == outcome(incidence_per_cluster, graph, vc, ec)
     assert got[0][0] == "ValueError" and "duplicate edge" in got[0][1]
     assert got[1][:3] == ("IncidenceError", 1, (1, 2, 3))
     assert got[2][:3] == ("IncidenceError", 1, ())
@@ -230,18 +228,18 @@ def test_stages_at_graph_radius_never_ask_the_tree(monkeypatch, truth_2d,
     # vertex clusters still ask the tree
     cloud = sample_graph(truth_2d, EPS, SampleOptions(seed=4))
     graph = build_graph(cloud, 3.0 * EPS)
-    labels = classify_all(cloud, graph)
-    vc = cluster_vertices(cloud, graph, labels)
+    labels = classify_all(graph)
+    vc = cluster_vertices(graph, labels)
 
     def refuse(self, qs, radius):
         raise TreeAsked(radius)
 
     monkeypatch.setattr(NeighborhoodGraph, "query", refuse)
-    ec = cluster_edges(cloud, graph, labels)
-    incidence = assign_incidence(cloud, graph, vc, ec)
+    ec = cluster_edges(graph, labels)
+    incidence = assign_incidence(graph, vc, ec)
     assert graph_isomorphic(AbstractGraph(len(vc), incidence), five_vertex_graph)
     with pytest.raises(TreeAsked):
-        cluster_vertices(cloud, graph, labels)
+        cluster_vertices(graph, labels)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -251,9 +249,9 @@ def test_non_finite_thresholds_rejected(value):
     graph = build_graph(cloud, 3.0 * EPS)
     labels = DimensionLabels([0] + [1] * 29 + [0])
     with pytest.raises(ValueError, match="finite"):
-        cluster_vertices(cloud, graph, labels, threshold=value)
+        cluster_vertices(graph, labels, threshold=value)
     with pytest.raises(ValueError, match="finite"):
-        cluster_vertices(cloud, graph, DimensionLabels([1] * 31), threshold=value)
+        cluster_vertices(graph, DimensionLabels([1] * 31), threshold=value)
 
 
 def test_reconstruct_structure_five_vertex_graph(truth_2d, five_vertex_graph):
