@@ -11,7 +11,8 @@ cloud.json is written and before any later artifact or the manifest.
 
 Exit codes: 0 success, 1 bad options, 2 I/O or parse failure,
 3 failed certification or reconstruction, 4 fit non-convergence.  Every
-error path prints a single line starting with "error:" to stderr.
+error path prints a single line starting with "error:" to stderr, a
+refused command line (exit 1) included.
 """
 from __future__ import annotations
 
@@ -42,18 +43,19 @@ class _StageError(Exception):
         self.code = code
 
 
-def _err(msg: str) -> None:
-    print(f"error: {msg}", file=sys.stderr)
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line through ``main``'s one error path, and so
+    do its subcommands' parsers: ``add_subparsers`` uses the parent's class."""
+
+    def error(self, message):
+        raise _StageError(1, f"{self.prog}: {message}")
 
 
-def _bad_option(args) -> str | None:
-    """Why a scale option is unusable (not finite and > 0), or None."""
-    for name in ("epsilon", "vertex_threshold"):
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0.0):
-            flag = "--" + name.replace("_", "-")
-            return f"{flag} must be a finite number > 0, got {value}"
-    return None
+def _check_epsilon(args) -> None:
+    """Exit 1 unless ``--epsilon``, when given, is finite and > 0."""
+    eps = args.epsilon
+    if eps is not None and not (math.isfinite(eps) and eps > 0.0):
+        raise _StageError(1, f"--epsilon must be a finite number > 0, got {eps}")
 
 
 def _count(n: int, singular: str, plural: str) -> str:
@@ -77,10 +79,10 @@ def _generate(graph, epsilon: float, options: SampleOptions, out: str):
     return cloud
 
 
-def _reconstruct(cloud, out: str, vertex_threshold: float | None = None):
+def _reconstruct(cloud, out: str):
     cloud.array  # an invalid cloud is bad input (exit 1), as in every stage
     try:
-        strat = reconstruct_structure(cloud, vertex_threshold=vertex_threshold)
+        strat = reconstruct_structure(cloud)
     except ValueError as exc:
         raise _StageError(3, f"reconstruction failed: {exc}") from exc
     write_stratification(strat, out)
@@ -164,7 +166,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     cloud = read_cloud(args.cloud, epsilon=args.epsilon)
-    _reconstruct(cloud, args.out, args.vertex_threshold)
+    _reconstruct(cloud, args.out)
     return 0
 
 
@@ -237,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     full garbage collection frees, so a process that built one per
     ``main`` call kept a growing share of them resident.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stratograph",
         description="Reconstruct embedded graphs from noisy point samples.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -254,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reconstruct", help="recover structure from a cloud")
     p.add_argument("--cloud", required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--vertex-threshold", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 
@@ -294,26 +295,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 1
-    problem = _bad_option(args)
-    if problem is not None:
-        _err(problem)
-        return 1
-    try:
+        args = _build_parser().parse_args(argv)
+        _check_epsilon(args)
         return args.func(args)
-    except _StageError as exc:
-        _err(str(exc))
+    except SystemExit as exc:  # --help, after printing it
         return exc.code
+    except _StageError as exc:
+        message, code = str(exc), exc.code
     except (FormatError, OSError) as exc:
-        _err(str(exc))
-        return 2
+        message, code = str(exc), 2
     except ValueError as exc:
-        _err(str(exc))
-        return 1
+        message, code = str(exc), 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -76,9 +76,9 @@ class PointCloud:
     def array(self) -> np.ndarray:
         """All points as an (n_points, ambient_dim) array; requires a valid cloud."""
         if self._array is None:
-            report, arr = _validate(self)
-            if not report.valid:
-                raise ValueError("invalid point cloud: " + "; ".join(report.findings))
+            findings, arr = _validate(self)
+            if findings:
+                raise ValueError("invalid point cloud: " + "; ".join(findings))
             self._array = arr
         return self._array
 
@@ -115,21 +115,26 @@ class ValidationReport:
 
 
 def validate_cloud(cloud: PointCloud) -> ValidationReport:
-    """Check the PointCloud invariants, reporting every violation found."""
-    return _validate(cloud)[0]
+    """Check the PointCloud invariants, reporting every violation found;
+    a valid cloud is then scanned for duplicate points."""
+    findings, arr = _validate(cloud)
+    if findings:
+        return ValidationReport(findings)
+    return ValidationReport((), tuple(f"duplicate point: indices {a} and {b}"
+                                      for a, b in zip(*_equal_rows(arr))))
 
 
 def _validate(cloud: PointCloud):
-    """``(report, array)``: the report of ``validate_cloud``, findings in
-    index order, and, when every point has ``ambient_dim`` coordinates, the
+    """``(findings, array)``: the findings of ``validate_cloud`` in index
+    order, and, when every point has ``ambient_dim`` coordinates, the
     (n_points, ambient_dim) view of the cloud's flat array, else None."""
-    findings, warnings = [], []
+    findings = []
     if not np.isfinite(cloud.epsilon) or cloud.epsilon <= 0.0:
         findings.append("epsilon must be positive")
     n = len(cloud)
     if n == 0:
         findings.append("point cloud is empty")
-        return ValidationReport(tuple(findings)), None
+        return tuple(findings), None
     if cloud.ambient_dim < 1:
         findings.append(f"points need at least one coordinate, "
                         f"ambient_dim is {cloud.ambient_dim}")
@@ -144,10 +149,7 @@ def _validate(cloud: PointCloud):
         else:
             findings.append(f"non-finite coordinate at index {i}")
     arr = None if wrong.any() else flat.reshape(n, cloud.ambient_dim)
-    if not findings:
-        for a, b in zip(*_equal_rows(arr)):
-            warnings.append(f"duplicate point: indices {a} and {b}")
-    return ValidationReport(tuple(findings), tuple(warnings)), arr
+    return tuple(findings), arr
 
 
 @dataclass(frozen=True)

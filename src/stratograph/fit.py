@@ -211,7 +211,7 @@ def fit(problem: FitProblem) -> FitResult:
     phi = objective(problem, x, t)
     trace = [phi]
     pinned_ever = set()
-    iterations = 0
+    iterations, grad = 0, None
 
     for _ in range(_MAX_ITERS):
         iterations += 1
@@ -223,13 +223,15 @@ def fit(problem: FitProblem) -> FitResult:
         x, t = x_new, t_new
         pinned_ever.update(int(p) for p in pinned)
         trace.append(phi_new)
-        decrease = phi - phi_new
-        phi = phi_new
+        decrease, phi = phi - phi_new, phi_new
+        grad = None
         if decrease <= _ABS_TOL or decrease <= _REL_TOL * phi:
-            if _projected_gradient_norm(problem, x, t) <= 1e-6 * (1.0 + phi):
+            grad = _projected_gradient_norm(problem, x, t)
+            if grad <= 1e-6 * (1.0 + phi):
                 break
 
-    grad = _projected_gradient_norm(problem, x, t)
+    if grad is None:
+        grad = _projected_gradient_norm(problem, x, t)
     converged = grad <= 1e-6 * (1.0 + phi)
     edges = tuple(problem.stratification.incidence)
     return FitResult(vertex_positions=x, thetas=t, objective_trace=tuple(trace),

@@ -1,25 +1,24 @@
 """Grouping classified samples into vertex clusters, edge clusters, and
 their incidence, which together determine the abstract graph.
 
-Vertex clusters are connected components of the dimension-0 samples at a
-generous threshold (10*eps by default: vertex neighborhoods are wide but
-well separated).  Edge clusters use the neighbourhood graph's own radius,
-the 3*eps that ``reconstruct_structure`` builds it at, and each must
-touch exactly two vertex clusters within that radius; those two become
-the edge's endpoints.  Each stage takes the neighbourhood graph alone
-and reads the points, epsilon and size from its cloud.  Clusters are
-the ascending index arrays of ``neighbors.components``, and incidence
-comes from one pass of ``neighbors.query_blocks`` over all edge-cluster
-members, so both read the graph's CSR rows in blocks of bounded size;
-only the vertex clusters ask the tree.  ``Stratification`` then holds
-the partition.
+``reconstruct_structure`` takes the cloud alone: every radius is a fixed
+multiple of its epsilon.  Vertex clusters are connected components of the
+dimension-0 samples at a generous 10*eps (vertex neighborhoods are wide
+but well separated).  Edge clusters use the neighbourhood graph's own
+3*eps radius, and each must touch exactly two vertex clusters within it;
+those two become the edge's endpoints.  Each stage takes the graph alone
+(``cluster_vertices`` keeps a threshold for experiments) and reads the
+points from its cloud.  Clusters are the ascending index arrays of
+``neighbors.components``, and incidence is one pass of
+``neighbors.query_blocks`` over all edge-cluster members, both reading
+the graph's CSR rows; only the vertex clusters ask the tree.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import AbstractGraph, DimensionLabels, PointCloud, Stratification
-from .dimension import ClassifierParams, classify_all
+from .dimension import classify_all
 from .neighbors import NeighborhoodGraph, build_graph, components, query_blocks
 
 
@@ -89,12 +88,13 @@ def assign_incidence(graph: NeighborhoodGraph, vertex_clusters, edge_clusters) -
     return incidence
 
 
-def reconstruct_structure(cloud: PointCloud, params: ClassifierParams | None = None,
-                          vertex_threshold: float | None = None) -> Stratification:
-    """Full structure recovery: label dimensions, cluster, wire up incidence."""
+def reconstruct_structure(cloud: PointCloud) -> Stratification:
+    """Full structure recovery from the cloud and its epsilon alone: the
+    graph at 3*eps, the default classifier, vertex clusters at 10*eps,
+    then edge clusters and incidence at the graph's radius."""
     graph = build_graph(cloud, 3.0 * cloud.epsilon)
-    labels = classify_all(graph, params)
-    vertex_clusters = cluster_vertices(graph, labels, vertex_threshold)
+    labels = classify_all(graph)
+    vertex_clusters = cluster_vertices(graph, labels)
     edge_clusters = cluster_edges(graph, labels)
     incidence = assign_incidence(graph, vertex_clusters, edge_clusters)
     return Stratification(vertex_clusters, edge_clusters, incidence,

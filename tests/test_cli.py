@@ -101,7 +101,9 @@ def test_reconstruct_segment_counts(tmp_path, segment_file, capsys):
 
 
 def test_reconstruct_huge_vertex_threshold_exits_3(tmp_path, truth_3d, capsys):
-    # 100 = 1000 eps merges every vertex into one cluster: incidence fails
+    # the vertex radius is 10 eps, so declaring eps 0.3 for a cloud sampled
+    # at 0.1 clusters vertices at 3.0 and the classifier at 3x its scale:
+    # incidence fails
     graph = tmp_path / "truth3d.json"
     write_embedded_graph(truth_3d, str(graph))
     cloud = tmp_path / "cloud.json"
@@ -109,8 +111,7 @@ def test_reconstruct_huge_vertex_threshold_exits_3(tmp_path, truth_3d, capsys):
                 "--seed", 1, "--out", cloud]) == 0
     capsys.readouterr()
     out = tmp_path / "strat.json"
-    code = run(["reconstruct", "--cloud", cloud, "--epsilon", EPS,
-                "--vertex-threshold", 100, "--out", out])
+    code = run(["reconstruct", "--cloud", cloud, "--epsilon", 0.3, "--out", out])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error:")
@@ -504,7 +505,41 @@ def test_console_script_entry_point(tmp_path, graph_file):
 
 def test_unknown_subcommand_exits_1(capsys):
     assert run(["frobnicate"]) == 1
-    capsys.readouterr()
+    assert_one_error_line(capsys.readouterr())
+
+
+def assert_one_error_line(captured):
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+# argparse refuses each of these; it prints usage and exits 2 unless the
+# CLI routes its refusal through the one "error:" line and exit 1
+REFUSED = {
+    "no-arguments": [],
+    "unknown-command": ["frobnicate"],
+    "unparsable-epsilon": ["reconstruct", "--cloud", "c.json", "--epsilon", "abc",
+                           "--out", "s.json"],
+    "missing-options": ["fit", "--cloud", "c.json"],
+}
+
+
+@pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED)
+def test_refused_command_line_prints_one_error_line(tmp_path, monkeypatch,
+                                                    capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 1
+    assert_one_error_line(capsys.readouterr())
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [[], ["reconstruct"]], ids=["top", "reconstruct"])
+def test_help_exits_0_on_stdout(capsys, argv):
+    assert run(argv + ["--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: stratograph")
+    assert captured.err == ""
 
 
 def test_repeated_main_leaves_less_garbage_than_one_parser(tmp_path,
@@ -532,18 +567,22 @@ def test_repeated_main_leaves_less_garbage_than_one_parser(tmp_path,
 BAD_SCALES = ["0", "-1", "nan", "inf"]
 
 
-@pytest.mark.parametrize("value", BAD_SCALES)
+@pytest.mark.parametrize("value", ["1"] + BAD_SCALES)
 def test_reconstruct_bad_vertex_threshold_exits_1(tmp_path, graph_file, capsys,
                                                  value):
+    # the option is gone: every vertex radius is 10 eps, so any value, a
+    # valid one included, is refused as an unknown option
     cloud = tmp_path / "cloud.json"
     assert run(["generate", "--graph", graph_file, "--epsilon", EPS,
                 "--seed", 1, "--out", cloud]) == 0
+    capsys.readouterr()
     out = tmp_path / "strat.json"
     code = run(["reconstruct", "--cloud", cloud, "--epsilon", EPS,
                 "--vertex-threshold", value, "--out", out])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err.startswith("error: --vertex-threshold must be a finite")
+    assert_one_error_line(captured)
+    assert "unrecognized arguments: --vertex-threshold" in captured.err
     assert not out.exists()
 
 

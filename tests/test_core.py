@@ -5,6 +5,7 @@ import pytest
 from stratograph import (AbstractGraph, DimensionLabels, EmbeddedGraph,
                          PointCloud, Stratification, ValidationReport,
                          validate_cloud)
+from stratograph import core
 
 
 def test_cloud_basic_accessors():
@@ -62,6 +63,19 @@ def test_validate_cloud_duplicates_are_warnings_not_findings():
     report = validate_cloud(cloud)
     assert report.valid
     assert any("duplicate" in w for w in report.warnings)
+
+
+def test_cloud_array_skips_the_duplicate_scan(monkeypatch):
+    # duplicates never invalidate a cloud, so only validate_cloud, which
+    # reports them, pays for the sort that finds them
+    calls = []
+    equal_rows = core._equal_rows
+    monkeypatch.setattr(core, "_equal_rows", lambda arr: calls.append(1) or equal_rows(arr))
+    cloud = PointCloud([(0, 0), (1, 0), (0, 0)], 0.1)
+    assert cloud.array.shape == (3, 2)
+    assert calls == []
+    assert validate_cloud(cloud).warnings == ("duplicate point: indices 0 and 2",)
+    assert calls == [1]
 
 
 def validate_per_point(cloud):

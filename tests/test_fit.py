@@ -341,6 +341,24 @@ def test_fit_matches_add_at_assembly_bitwise(monkeypatch, truth_2d, truth_3d):
             want.iterations, want.converged, want.pinned)
 
 
+def test_fit_measures_the_gradient_once_per_iterate(monkeypatch, truth_2d, truth_3d):
+    # the stop test's norm at the final iterate is the one converged reports
+    seen = []
+
+    def counted(problem, x, t):
+        seen.append((x.tobytes(), t.tobytes()))
+        return _projected_gradient_norm(problem, x, t)
+
+    monkeypatch.setattr(fit_module, "_projected_gradient_norm", counted)
+    for truth in (truth_2d, truth_3d):
+        seen.clear()
+        cloud = sample_graph(truth, EPS, SampleOptions(seed=3))
+        res = fit(FitProblem(cloud, reconstruct_structure(cloud)))
+        assert res.converged and seen
+        assert len(set(seen)) == len(seen)
+        assert seen[-1] == (res.vertex_positions.tobytes(), res.thetas.tobytes())
+
+
 def test_fit_result_as_dict_schema():
     truth, cloud, problem = segment_problem(noise_radius=0.03, seed=1)
     res = fit(problem)

@@ -1,4 +1,5 @@
 """Module layering: each module imports only the modules below it."""
+import argparse
 import ast
 import importlib
 import inspect
@@ -109,3 +110,16 @@ def test_stages_take_the_graph_alone():
             params = inspect.signature(fn).parameters
             assert not {"cloud", "graph"} <= set(params), (
                 f"{name}.{attr} takes both a cloud and a graph")
+
+
+def test_one_cloud_and_its_epsilon_in():
+    # every radius of the pipeline is a fixed multiple of the cloud's
+    # epsilon, so neither the library entry nor its command takes another
+    from stratograph.cli import _build_parser
+    from stratograph.stratify import reconstruct_structure
+
+    assert list(inspect.signature(reconstruct_structure).parameters) == ["cloud"]
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = [a.option_strings[0] for a in commands["reconstruct"]._actions]
+    assert options == ["-h", "--cloud", "--epsilon", "--out"]
