@@ -21,13 +21,15 @@ measures this drift):
 The stages are importable separately: dimension classification
 (classify_all), clustering and incidence (stratify module), least-squares
 coordinate recovery (fit module), plus a certified sampler, validators,
-and evaluation metrics.  The ``stratograph`` command line exposes the same
-stages on files.
+and evaluation metrics.  Every stage threshold is a fixed multiple of the
+cloud's epsilon, so the stages take the neighbourhood graph at 3 epsilon
+(build_graph) and no threshold of their own.  The ``stratograph`` command
+line exposes the same stages on files.
 """
 
 from .core import (AbstractGraph, DimensionLabels, EmbeddedGraph, PointCloud,
                    Stratification, ValidationReport, validate_cloud)
-from .dimension import ClassifierParams, angle_test, classify_all
+from .dimension import angle_test, classify_all
 from .fit import FitProblem, FitResult, fit, initialize, objective
 from .geometry import dist_to_embedded_graph, project_to_segment
 from .io import (FormatError, read_cloud, read_embedded_graph, read_fit_result,
@@ -45,18 +47,17 @@ from .stratify import (IncidenceError, assign_incidence, cluster_edges,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractGraph", "AssumptionReport", "BiasReport", "ClassifierParams",
-    "DimensionLabels", "EmbeddedGraph", "FitProblem", "FitResult",
-    "FormatError", "IncidenceError", "NeighborhoodGraph", "PointCloud",
-    "SampleOptions", "Stratification", "UnsupportedGraphSize",
-    "ValidationReport", "angle_test", "assign_incidence", "build_graph",
-    "check_assumptions", "classify_all", "cluster_edges",
-    "cluster_vertices", "components", "dist_to_embedded_graph",
-    "estimate_bias", "fit", "graph_isomorphic", "hausdorff", "initialize",
-    "iter_isomorphisms", "objective", "project_to_segment", "read_cloud",
-    "read_embedded_graph", "read_fit_result", "read_stratification",
-    "reconstruct_structure", "sample_graph", "validate_cloud",
-    "validate_epsilon_sample", "vertex_error", "write_cloud",
-    "write_embedded_graph", "write_fit_result", "write_report",
-    "write_stratification",
+    "AbstractGraph", "AssumptionReport", "BiasReport", "DimensionLabels",
+    "EmbeddedGraph", "FitProblem", "FitResult", "FormatError",
+    "IncidenceError", "NeighborhoodGraph", "PointCloud", "SampleOptions",
+    "Stratification", "UnsupportedGraphSize", "ValidationReport",
+    "angle_test", "assign_incidence", "build_graph", "check_assumptions",
+    "classify_all", "cluster_edges", "cluster_vertices", "components",
+    "dist_to_embedded_graph", "estimate_bias", "fit", "graph_isomorphic",
+    "hausdorff", "initialize", "iter_isomorphisms", "objective",
+    "project_to_segment", "read_cloud", "read_embedded_graph",
+    "read_fit_result", "read_stratification", "reconstruct_structure",
+    "sample_graph", "validate_cloud", "validate_epsilon_sample",
+    "vertex_error", "write_cloud", "write_embedded_graph",
+    "write_fit_result", "write_report", "write_stratification",
 ]

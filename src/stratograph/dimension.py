@@ -22,20 +22,25 @@ It takes the neighbourhood graph alone and reads the points and
 epsilon from its cloud.  It takes balls in blocks of at most
 ``_BLOCK_MEMBERS`` or three quarters of the cloud's points, whichever
 is more, from ``neighbors.query_blocks``, and pairs from the graph's CSR
-rows: apart from one index and two flags per pair, its working set is
+rows: apart from one index and one flag per pair, its working set is
 bounded by one block, and so by a fixed share of the CSR the graph holds.
 
 The angle test (c) runs batched over a block: centroids come from one
 sum per (ball, component), norms and dots from one pass.  The batch is
 the definition and ``angle_test`` is its one-query case.
 
-All thresholds live in ``ClassifierParams`` so experiments can probe them;
-the defaults are the operating values above.
+Every threshold is a fixed multiple of epsilon (Aanjaneya et al.,
+"Metric graph reconstruction from noisy data", SoCG 2011): the local
+radius ``_LOCAL``, the annulus ``_ANNULUS_INNER`` to ``_ANNULUS_OUTER``,
+the edge thresholds ``_BALL_EDGE`` and ``_ANNULUS_EDGE``, and the angle
+``_ANGLE``.  Each radius is taken as ``c * eps`` and compared squared, as
+``r * r``.  ``classify_all`` takes exactly the graph the pipeline builds,
+at radius ``3 * eps``: its CSR rows are then the annulus's pairs, and a
+graph at any other radius is refused.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,6 +48,12 @@ from .core import DimensionLabels, row_dots
 from .geometry import sq_dists
 from .neighbors import NeighborhoodGraph, _gather, _min_labels, query_blocks
 
+# Radii in units of epsilon: the local ball, the annulus inside it, and
+# the edge thresholds of the ball and of the annulus; and the angle below
+# which two annulus centroids make a sharp corner.
+_LOCAL, _ANNULUS_INNER, _ANNULUS_OUTER = 10.0, 8.0, 10.0
+_BALL_EDGE, _ANNULUS_EDGE = 2.0, 3.0
+_ANGLE = 2.0 * math.acos(0.25)
 _DEGENERATE = 1e-12
 
 # Ball members per block of ``classify_all``.  The block's working set
@@ -58,36 +69,6 @@ _BLOCK_MEMBERS = 1536
 _BLOCK_PAIRS = 4096
 
 
-@dataclass(frozen=True)
-class ClassifierParams:
-    local_radius: float
-    annulus_inner: float
-    annulus_outer: float
-    ball_edge_threshold: float
-    annulus_edge_threshold: float
-    angle_threshold: float = 2.0 * math.acos(0.25)
-
-    def __post_init__(self):
-        radii = (self.local_radius, self.annulus_inner, self.annulus_outer,
-                 self.ball_edge_threshold, self.annulus_edge_threshold)
-        if not all(math.isfinite(r) and r > 0.0 for r in radii):
-            raise ValueError("all classifier radii must be finite and positive")
-        if not (self.annulus_inner < self.annulus_outer <= self.local_radius):
-            raise ValueError("need annulus_inner < annulus_outer <= local_radius")
-        if not (0.0 < self.angle_threshold <= math.pi):
-            raise ValueError("angle_threshold must lie in (0, pi]")
-
-    @classmethod
-    def from_epsilon(cls, epsilon: float, **overrides) -> "ClassifierParams":
-        """Operating thresholds for a declared sample bound ``epsilon``."""
-        params = cls(local_radius=10.0 * epsilon,
-                     annulus_inner=8.0 * epsilon,
-                     annulus_outer=10.0 * epsilon,
-                     ball_edge_threshold=2.0 * epsilon,
-                     annulus_edge_threshold=3.0 * epsilon)
-        return replace(params, **overrides) if overrides else params
-
-
 def angle_test(q, comp_a: np.ndarray, comp_b: np.ndarray,
                angle_threshold: float) -> int:
     """Angle at q spanned by the two component centroids: 0 if sharp.
@@ -96,7 +77,10 @@ def angle_test(q, comp_a: np.ndarray, comp_b: np.ndarray,
     the arccosine of the clamped normalized dot product), so an angle
     exactly at the threshold is classified 1: equality is not "less than".
     A centroid within ``_DEGENERATE`` of q is degenerate and yields 0.
+    ``angle_threshold`` must lie in (0, pi].
     """
+    if not 0.0 < angle_threshold <= math.pi:
+        raise ValueError(f"angle_threshold must lie in (0, pi], got {angle_threshold!r}")
     comp_a = np.atleast_2d(np.asarray(comp_a, dtype=float))
     comp_b = np.atleast_2d(np.asarray(comp_b, dtype=float))
     side = np.repeat([0, 1], [len(comp_a), len(comp_b)])
@@ -124,38 +108,33 @@ def _spans(coords: np.ndarray, group: np.ndarray, q: np.ndarray,
     return np.where(sharp | (na < _DEGENERATE) | (nb < _DEGENERATE), 0, 1)
 
 
-def _upper_pairs(pts: np.ndarray, nbrs, params: ClassifierParams):
-    """The pairs i < j of the neighbourhood graph ``nbrs``, with their
-    tests.
+def _upper_pairs(graph: NeighborhoodGraph):
+    """The pairs i < j of ``graph``, with the ball's edge test.
 
-    Returns ``(indptr, indices, ann_ok, ball_ok)``: row i of ``indices``
-    holds i's later neighbours, and ``ann_ok`` / ``ball_ok`` say whether
-    each pair lies within the annulus and ball edge thresholds, a pair
-    exactly at a threshold included.  Squared distances of differences
-    are compared, ``_BLOCK_PAIRS`` pairs at a time.
+    Returns ``(indptr, indices, ball_ok)``: row i of ``indices`` holds i's
+    later neighbours, and ``ball_ok`` says whether each pair lies within
+    the ball edge threshold, a pair exactly at it included.  Squared
+    distances of differences are compared, ``_BLOCK_PAIRS`` pairs at a
+    time.  Every pair lies within the annulus edge threshold, the graph's
+    radius.
     """
-    n = len(pts)
-    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(nbrs.indptr))
-    keep = nbrs.indices > rows
-    rows, cols = rows[keep], nbrs.indices[keep].astype(np.int32)
+    pts, n = graph.cloud.array, graph.n_points
+    rows = np.repeat(np.arange(n, dtype=np.int32), np.diff(graph.indptr))
+    keep = graph.indices > rows
+    rows, cols = rows[keep], graph.indices[keep].astype(np.int32)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    ann_ok = np.empty(len(cols), dtype=bool)
     ball_ok = np.empty(len(cols), dtype=bool)
-    ann = params.annulus_edge_threshold * params.annulus_edge_threshold
-    ball = params.ball_edge_threshold * params.ball_edge_threshold
+    edge = _BALL_EDGE * graph.cloud.epsilon
     for lo in range(0, len(cols), _BLOCK_PAIRS):
         hi = lo + _BLOCK_PAIRS
         diff = pts[rows[lo:hi]] - pts[cols[lo:hi]]
-        sq = np.einsum("ij,ij->i", diff, diff)
-        np.less_equal(sq, ann, out=ann_ok[lo:hi])
-        np.less_equal(sq, ball, out=ball_ok[lo:hi])
-    return indptr, cols, ann_ok, ball_ok
+        np.less_equal(np.einsum("ij,ij->i", diff, diff), edge * edge, out=ball_ok[lo:hi])
+    return indptr, cols, ball_ok
 
 
 def _angle_labels(pts: np.ndarray, queries: np.ndarray, flat: np.ndarray,
-                  owner: np.ndarray, annulus: np.ndarray, lab: np.ndarray,
-                  angle_threshold: float) -> np.ndarray:
+                  owner: np.ndarray, annulus: np.ndarray, lab: np.ndarray) -> np.ndarray:
     """``angle_test`` for every query whose annulus has two components.
 
     ``annulus`` marks the annulus nodes of exactly those queries, in
@@ -165,11 +144,11 @@ def _angle_labels(pts: np.ndarray, queries: np.ndarray, flat: np.ndarray,
     rank = np.cumsum(np.r_[True, owner[nodes[1:]] != owner[nodes[:-1]]]) - 1
     first = nodes[np.searchsorted(rank, np.arange(len(queries)))]
     group = 2 * rank + (lab[nodes] != first[rank])
-    return _spans(pts[flat[nodes]], group, pts[queries], angle_threshold)
+    return _spans(pts[flat[nodes]], group, pts[queries], _ANGLE)
 
 
-def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
-                    pairs, params: ClassifierParams) -> np.ndarray:
+def _classify_block(graph: NeighborhoodGraph, queries: np.ndarray, balls,
+                    pairs) -> np.ndarray:
     """Labels of ``queries``, whose local balls are ``balls = (sizes, flat)``.
 
     The members of all balls are laid out in ``flat`` one ball after
@@ -179,21 +158,23 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
     positions, so the two annulus components come in the order of their
     smallest members, as in the per-ball reference.
     """
-    indptr, indices, ann_ok, ball_ok = pairs
+    indptr, indices, ball_ok = pairs
+    pts, eps = graph.cloud.array, graph.cloud.epsilon
     n = len(pts)
     sizes, flat = balls
     owner = np.repeat(np.arange(len(sizes)), sizes)
     nodes = np.arange(len(flat))
     keys = owner * n + flat  # ascending: balls in order, members sorted
 
-    def edges(sel: np.ndarray, ok: np.ndarray, inside=None):
-        """Pairs passing ``ok`` from the nodes ``sel`` to their own ball,
-        or only to its nodes that are ``inside``."""
+    def edges(sel: np.ndarray, ok=None, inside=None):
+        """Pairs from the nodes ``sel`` to their own ball: those passing
+        ``ok``, or those to its nodes that are ``inside``."""
         counts, at = _gather(indptr, flat[sel])
         src = np.repeat(sel, counts)
-        close = ok[at]
-        src = src[close]
-        want = owner[src] * n + indices[at[close]]
+        if ok is not None:
+            close = ok[at]
+            src, at = src[close], at[close]
+        want = owner[src] * n + indices[at]
         dst = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
         hit = keys[dst] == want
         if inside is not None:
@@ -201,41 +182,39 @@ def _classify_block(pts: np.ndarray, queries: np.ndarray, balls,
         return src[hit], dst[hit]
 
     dq = sq_dists(pts[flat], pts[queries][owner])
-    annulus = ((dq >= params.annulus_inner * params.annulus_inner)
-               & (dq <= params.annulus_outer * params.annulus_outer))
-    lab = _min_labels(len(flat), *edges(np.flatnonzero(annulus), ann_ok, annulus))
+    inner, outer = _ANNULUS_INNER * eps, _ANNULUS_OUTER * eps
+    annulus = (dq >= inner * inner) & (dq <= outer * outer)
+    lab = _min_labels(len(flat), *edges(np.flatnonzero(annulus), inside=annulus))
     n_ann = np.bincount(owner[annulus & (lab == nodes)], minlength=len(sizes))
 
     out = np.zeros(len(sizes), dtype=int)
     two = n_ann == 2
     if two.any():
-        out[two] = _angle_labels(pts, queries[two], flat, owner, annulus & two[owner],
-                                 lab, params.angle_threshold)
+        out[two] = _angle_labels(pts, queries[two], flat, owner, annulus & two[owner], lab)
 
     ball_test = out == 0
     if ball_test.any():
-        lab = _min_labels(len(flat), *edges(np.flatnonzero(ball_test[owner]), ball_ok))
+        lab = _min_labels(len(flat), *edges(np.flatnonzero(ball_test[owner]), ok=ball_ok))
         n_ball = np.bincount(owner[lab == nodes], minlength=len(sizes))
         out[ball_test & (n_ball != 1)] = 1
     return out
 
 
-def classify_all(graph: NeighborhoodGraph,
-                 params: ClassifierParams | None = None) -> DimensionLabels:
+def classify_all(graph: NeighborhoodGraph) -> DimensionLabels:
     """Classify every sample of ``graph.cloud`` with the per-ball tests (a),
     (b), (c), in the order and the blocks the module docstring gives.
 
-    Components come from the pairs of the graph's CSR rows, tested with
-    the same squared-distance comparison as the per-ball reference, or of
-    a graph at that threshold when it exceeds ``graph.radius``.
+    ``graph`` must be the pipeline's, at radius ``3 * epsilon`` exactly;
+    any other radius raises ValueError.  Components come from the pairs
+    of its CSR rows, tested with the same squared-distance comparison as
+    the per-ball reference.
     """
-    if params is None:
-        params = ClassifierParams.from_epsilon(graph.cloud.epsilon)
-    pts = graph.cloud.array
-    n = len(pts)
-    reach = max(params.annulus_edge_threshold, params.ball_edge_threshold)
-    nbrs = graph if reach <= graph.radius else NeighborhoodGraph(graph.cloud, reach)
-    pairs = _upper_pairs(pts, nbrs, params)
+    eps = graph.cloud.epsilon
+    if graph.radius != _ANNULUS_EDGE * eps:
+        raise ValueError(f"classify_all needs a graph at 3 * epsilon = "
+                         f"{_ANNULUS_EDGE * eps!r}, got graph.radius = {graph.radius!r}")
+    n = graph.n_points
+    pairs = _upper_pairs(graph)
     out = np.empty(n, dtype=int)
     # Large clouds take blocks of up to 3/4 as many ball members as points.
     # A block's working set grows with members times degree, so a share of
@@ -243,7 +222,7 @@ def classify_all(graph: NeighborhoodGraph,
     # of the CSR at any density.  3/4 cuts an 8x8 grid-graph cloud (8,912
     # points) from 357 blocks to 75 at a traced peak of 2.3x the CSR's
     # bytes (1.5x at the floor); clouds under 2,048 points keep the floor.
-    for queries, sizes, flat in query_blocks(graph, np.arange(n), params.local_radius,
+    for queries, sizes, flat in query_blocks(graph, np.arange(n), _LOCAL * eps,
                                              max(_BLOCK_MEMBERS, 3 * n // 4)):
-        out[queries] = _classify_block(pts, queries, (sizes, flat), pairs, params)
+        out[queries] = _classify_block(graph, queries, (sizes, flat), pairs)
     return DimensionLabels(out)

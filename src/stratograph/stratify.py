@@ -6,10 +6,9 @@ multiple of its epsilon.  Vertex clusters are connected components of the
 dimension-0 samples at a generous 10*eps (vertex neighborhoods are wide
 but well separated).  Edge clusters use the neighbourhood graph's own
 3*eps radius, and each must touch exactly two vertex clusters within it;
-those two become the edge's endpoints.  Each stage takes the graph alone
-(``cluster_vertices`` keeps a threshold for experiments) and reads the
-points from its cloud.  Clusters are the ascending index arrays of
-``neighbors.components``, and incidence is one pass of
+those two become the edge's endpoints.  Each stage takes the graph alone,
+with no threshold of its own, and reads the points from its cloud.
+Clusters are the ascending index arrays of ``neighbors.components``, and incidence is one pass of
 ``neighbors.query_blocks`` over all edge-cluster members, both reading
 the graph's CSR rows; only the vertex clusters ask the tree.
 """
@@ -36,14 +35,10 @@ class IncidenceError(ValueError):
                          f"clusters {list(self.candidates)}, expected exactly 2")
 
 
-def cluster_vertices(graph: NeighborhoodGraph, labels: DimensionLabels,
-                     threshold: float | None = None) -> list:
-    """Components of the dimension-0 samples at ``threshold`` (10*eps by
-    default); one cluster per vertex, as ascending index arrays ordered by
-    smallest member."""
-    if threshold is None:
-        threshold = 10.0 * graph.cloud.epsilon
-    return components(graph, labels.indices_of(0), threshold)
+def cluster_vertices(graph: NeighborhoodGraph, labels: DimensionLabels) -> list:
+    """Components of the dimension-0 samples at 10*eps; one cluster per
+    vertex, as ascending index arrays ordered by smallest member."""
+    return components(graph, labels.indices_of(0), 10.0 * graph.cloud.epsilon)
 
 
 def cluster_edges(graph: NeighborhoodGraph, labels: DimensionLabels) -> list:
@@ -90,8 +85,8 @@ def assign_incidence(graph: NeighborhoodGraph, vertex_clusters, edge_clusters) -
 
 def reconstruct_structure(cloud: PointCloud) -> Stratification:
     """Full structure recovery from the cloud and its epsilon alone: the
-    graph at 3*eps, the default classifier, vertex clusters at 10*eps,
-    then edge clusters and incidence at the graph's radius."""
+    graph at 3*eps, the classifier, vertex clusters at 10*eps, then edge
+    clusters and incidence at the graph's radius."""
     graph = build_graph(cloud, 3.0 * cloud.epsilon)
     labels = classify_all(graph)
     vertex_clusters = cluster_vertices(graph, labels)

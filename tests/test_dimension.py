@@ -1,12 +1,13 @@
 """Local dimension classifier: deterministic configurations and guarantees."""
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from stratograph import (AbstractGraph, ClassifierParams, EmbeddedGraph,
-                         NeighborhoodGraph, PointCloud, SampleOptions, angle_test,
-                         build_graph, classify_all, sample_graph)
+from stratograph import (AbstractGraph, EmbeddedGraph, NeighborhoodGraph,
+                         PointCloud, SampleOptions, angle_test, build_graph,
+                         classify_all, sample_graph)
 from stratograph.geometry import sq_dists
 from conftest import (EMBED_2D, EMBED_3D, EPS, FIVE_VERTEX_EDGES, corner_cloud,
                       line_cloud, star_cloud)
@@ -15,6 +16,21 @@ from conftest import (EMBED_2D, EMBED_3D, EPS, FIVE_VERTEX_EDGES, corner_cloud,
 # The per-ball reference classifier: tests (a), (b), (c) of
 # ``stratograph.dimension`` in that order on one ball.  ``classify_all``
 # must give its label on every sample.
+class ReferenceParams(NamedTuple):
+    """The reference's thresholds, each a fixed multiple of epsilon."""
+    local_radius: float
+    annulus_inner: float
+    annulus_outer: float
+    ball_edge_threshold: float
+    annulus_edge_threshold: float
+    angle_threshold: float
+
+
+def reference_params(eps: float) -> ReferenceParams:
+    return ReferenceParams(10.0 * eps, 8.0 * eps, 10.0 * eps, 2.0 * eps, 3.0 * eps,
+                           2.0 * math.acos(0.25))
+
+
 def angle_test_reference(q, comp_a, comp_b, angle_threshold: float) -> int:
     """Test (c) with one-point arithmetic: ``np.mean`` centroids,
     ``np.linalg.norm`` norms and a clamped cosine.  Exactly at the
@@ -62,7 +78,7 @@ def _component_labels(points: np.ndarray, threshold: float):
 
 
 def _classify_ball(q: np.ndarray, ball: np.ndarray,
-                   params: ClassifierParams) -> int:
+                   params: ReferenceParams) -> int:
     n_ball, _ = _component_labels(ball, params.ball_edge_threshold)
     if n_ball != 1:
         return 1
@@ -80,50 +96,26 @@ def _classify_ball(q: np.ndarray, ball: np.ndarray,
 
 
 def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
-                   params: ClassifierParams) -> int:
+                   params: ReferenceParams) -> int:
     """Local dimension of one sample; always returns 0 or 1."""
     pts = cloud.array
     _, ball_idx = graph.query(pts[[q_index]], params.local_radius)
     return _classify_ball(pts[q_index], pts[ball_idx], params)
 
 
-def classify_cloud(cloud, params=None):
+def classify_cloud(cloud):
     graph = build_graph(cloud, 3.0 * cloud.epsilon)
-    return classify_all(graph, params).labels
+    return classify_all(graph).labels
 
 
-def test_params_defaults_and_validation():
-    p = ClassifierParams.from_epsilon(0.1)
-    assert p.local_radius == pytest.approx(1.0)
-    assert p.annulus_inner == pytest.approx(0.8)
-    assert p.annulus_outer == pytest.approx(1.0)
-    assert p.ball_edge_threshold == pytest.approx(0.2)
-    assert p.annulus_edge_threshold == pytest.approx(0.3)
-    assert p.angle_threshold == pytest.approx(2.0 * math.acos(0.25))
-    # the annulus is carved out of the local ball, so it cannot extend past it
-    with pytest.raises(ValueError):
-        ClassifierParams.from_epsilon(0.1, annulus_inner=1.1)
-    with pytest.raises(ValueError):
-        ClassifierParams.from_epsilon(0.1, angle_threshold=0.0)
-    with pytest.raises(ValueError):
-        ClassifierParams.from_epsilon(0.1, local_radius=-1.0)
-
-
-RADII = ("local_radius", "annulus_inner", "annulus_outer",
-         "ball_edge_threshold", "annulus_edge_threshold")
-
-
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.2])
-@pytest.mark.parametrize("name", RADII)
-def test_params_reject_non_finite_or_non_positive_radii(name, value):
-    with pytest.raises(ValueError):
-        ClassifierParams.from_epsilon(0.1, **{name: value})
-
-
-def test_annulus_width_matches_operating_values():
-    p = ClassifierParams.from_epsilon(0.25)
-    assert p.annulus_outer - p.annulus_inner == pytest.approx(2.0 * 0.25)
-    assert p.annulus_outer == p.local_radius
+@pytest.mark.parametrize("radius", [0.2, 0.3], ids=["below-3eps", "0.3-for-eps-0.1"])
+def test_classify_all_refuses_other_graph_radius(radius):
+    # only the pipeline's graph, at 3 * epsilon, is classified; a graph at
+    # 0.3 is refused too, since 3 * 0.1 is 0.30000000000000004
+    cloud = PointCloud([(0, 0), (0.25, 0)], 0.1)
+    with pytest.raises(ValueError, match=r"3 \* epsilon.*graph\.radius"):
+        classify_all(build_graph(cloud, radius))
+    assert classify_all(build_graph(cloud, 3 * 0.1)).labels.tolist() == [1, 1]
 
 
 def test_line_center_is_dimension_one():
@@ -131,7 +123,7 @@ def test_line_center_is_dimension_one():
     # two arcs |k| in {8, 9, 10} with centroids (+-0.9, 0), angle pi
     cloud = line_cloud(EPS, -12, 12)
     graph = build_graph(cloud, 3.0 * EPS)
-    params = ClassifierParams.from_epsilon(EPS)
+    params = reference_params(EPS)
     center = 12  # index of (0, 0)
     assert np.allclose(cloud.array[center], 0.0)
     assert classify_point(cloud, graph, center, params) == 1
@@ -140,7 +132,7 @@ def test_line_center_is_dimension_one():
 def test_star_origin_is_dimension_zero():
     cloud = star_cloud(EPS, arms=3, arm_steps=20)
     graph = build_graph(cloud, 3.0 * EPS)
-    params = ClassifierParams.from_epsilon(EPS)
+    params = reference_params(EPS)
     assert classify_point(cloud, graph, 0, params) == 0
 
 
@@ -160,30 +152,30 @@ def _star_with_stray(center, stray, eps=EPS, arms=3, arm_steps=20):
     return pts + [np.asarray(stray, dtype=float)]
 
 
-@pytest.mark.parametrize("center, stray, local_radius", [
-    ((0.0, 0.0), (0.0, 1.0), None),  # exactly 10 eps, default radius
-    # a pair whose tie scipy's cKDTree misses when asked at exactly r
+@pytest.mark.parametrize("center, stray, eps", [
+    ((0.0, 0.0), (0.0, 1.0), EPS),  # exactly 10 eps
+    # a pair whose tie scipy's cKDTree misses when asked at exactly r, at
+    # an eps whose 10 * eps is exactly their distance, 1.1630034997814065
     ([0.6194215518255555, 0.12095190401237166, -0.423157571137579],
      [-0.1742073146382146, 0.6362419419418208, 0.253012924839507],
-     1.1630034997814065),
+     0.11630034997814065),
 ], ids=["2d-10eps", "3d-tree-tie"])
-def test_local_ball_tie_included(center, stray, local_radius):
+def test_local_ball_tie_included(center, stray, eps):
     # a stray point in the local ball disconnects it, so the star's centre
     # reads 1 with the stray exactly on the ball's boundary and 0 beyond it
-    overrides = {} if local_radius is None else {"local_radius": local_radius}
-    params = ClassifierParams.from_epsilon(EPS, **overrides)
+    params = reference_params(eps)
     beyond = np.asarray(center) + (np.asarray(stray) - center) * (1.0 + 1e-9)
     for point, want in ((stray, 1), (beyond, 0)):
-        cloud = PointCloud(_star_with_stray(center, point), EPS)
-        graph = build_graph(cloud, 3.0 * EPS)
+        cloud = PointCloud(_star_with_stray(center, point, eps), eps)
+        graph = build_graph(cloud, 3.0 * eps)
         assert classify_point(cloud, graph, 0, params) == want
-        assert classify_all(graph, params).labels[0] == want
+        assert classify_all(graph).labels[0] == want
 
 
 def test_right_angle_corner_is_dimension_zero():
     cloud = corner_cloud(EPS, angle=math.pi / 2, arm_steps=20)
     graph = build_graph(cloud, 3.0 * EPS)
-    params = ClassifierParams.from_epsilon(EPS)
+    params = reference_params(EPS)
     assert classify_point(cloud, graph, 0, params) == 0
 
 
@@ -201,6 +193,14 @@ def test_angle_test_exact_threshold_is_one():
     assert angle_test((0.0, 0.0), [a], [b], thr) == 1
     just_inside = (math.cos(thr - 1e-9), math.sin(thr - 1e-9))
     assert angle_test((0.0, 0.0), [a], [just_inside], thr) == 0
+    # pi, the largest threshold, keeps a straight angle at 1
+    assert angle_test((0.0, 0.0), [a], [(-1.0, 0.0)], math.pi) == 1
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 0.0, -1.0, 4.0, float("inf")])
+def test_angle_test_rejects_threshold_outside_zero_pi(threshold):
+    with pytest.raises(ValueError, match="angle_threshold"):
+        angle_test((0, 0), [(1, 0)], [(0, 1)], threshold)
 
 
 def test_angle_test_centroid_of_multiple_points():
@@ -279,9 +279,10 @@ def parallel_strands(gap=5.0 * EPS, half_steps=60):
     return PointCloud([(x, y) for x in xs for y in (0.0, gap)], EPS)
 
 
-def assert_matches_classify_point(cloud, params):
+def assert_matches_classify_point(cloud):
+    params = reference_params(cloud.epsilon)
     graph = build_graph(cloud, 3.0 * cloud.epsilon)
-    batched = classify_all(graph, params).labels
+    batched = classify_all(graph).labels
     single = [classify_point(cloud, graph, i, params) for i in range(len(cloud))]
     assert batched.tolist() == single
     return batched
@@ -293,7 +294,6 @@ def shuffled(cloud, seed=0):
 
 
 def test_classify_all_matches_classify_point():
-    params = ClassifierParams.from_epsilon(EPS)
     for cloud in (star_cloud(EPS, arms=3, arm_steps=15),
                   five_vertex_cloud(EMBED_2D, spacing=EPS / 5),
                   five_vertex_cloud(EMBED_3D, spacing=EPS / 5),
@@ -302,7 +302,7 @@ def test_classify_all_matches_classify_point():
                   shuffled(five_vertex_cloud(EMBED_3D)),
                   # samples 5 eps apart: the neighbourhood graph has no edges
                   PointCloud([(5.0 * EPS * k, 0.0) for k in range(6)], EPS)):
-        assert_matches_classify_point(cloud, params)
+        assert_matches_classify_point(cloud)
 
 
 # The three tests below keep the names they had when ``classify_all`` fell
@@ -311,9 +311,8 @@ def test_classify_all_matches_classify_point():
 # per-ball oracle, whose ``angle_test_reference`` keeps the one-point
 # arithmetic, on the cloud that used to exercise the fallback.
 def test_batched_angle_test_decides_ordinary_clouds():
-    params = ClassifierParams.from_epsilon(EPS)
     for cloud in (five_vertex_cloud(EMBED_2D), five_vertex_cloud(EMBED_3D, seed=1)):
-        labels = assert_matches_classify_point(cloud, params)
+        labels = assert_matches_classify_point(cloud)
         # both strata are present, so test (c) decided some samples
         assert 0 < labels.sum() < len(labels)
 
@@ -321,33 +320,35 @@ def test_batched_angle_test_decides_ordinary_clouds():
 def test_angle_fallback_at_threshold_angle():
     # the corner's annulus centroids span the threshold angle itself, up
     # to rounding
-    params = ClassifierParams.from_epsilon(EPS)
-    cloud = corner_cloud(EPS, angle=params.angle_threshold, arm_steps=30,
-                         spacing=EPS / 2)
-    assert_matches_classify_point(cloud, params)
+    cloud = corner_cloud(EPS, angle=reference_params(EPS).angle_threshold,
+                         arm_steps=30, spacing=EPS / 2)
+    assert_matches_classify_point(cloud)
 
 
-def test_angle_fallback_degenerate_centroid():
-    # a full ring of the annulus, centred 5e-13 off q and so degenerate,
-    # and a small arc beyond it on the other side: the two centroids span
-    # an angle of pi, which only the degenerate rule turns into 0.  The
-    # wide ball threshold joins q to the ring, so that rule decides q.
+def test_angle_fallback_degenerate_centroid(monkeypatch):
+    # a full ring of the annulus in the plane z = -5e-13, centred that far
+    # below q and so degenerate, and a spoke up the z axis whose tip is the
+    # annulus's other component: the two centroids span an angle of pi,
+    # which only the degenerate rule turns into 0.  Spokes in the ring's
+    # plane join q to the ring at 2 eps, so that rule decides q.
     eps = 0.01
-    params = ClassifierParams.from_epsilon(eps, annulus_edge_threshold=eps,
-                                           ball_edge_threshold=9.0 * eps)
-    ring = [(8.5 * eps * math.cos(a) - 5e-13, 8.5 * eps * math.sin(a))
+    ring = [(8.5 * eps * math.cos(a), 8.5 * eps * math.sin(a), -5e-13)
             for a in np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)]
-    arc = [(9.9 * eps * math.cos(a), 9.9 * eps * math.sin(a))
-           for a in (-0.01, 0.0, 0.01)]
-    cloud = PointCloud([(0.0, 0.0)] + ring + arc, eps)
-    assert assert_matches_classify_point(cloud, params)[0] == 0
+    steps = 1.5 * eps * np.arange(1, 7)
+    spokes = [(x * s, y * s, 0.0) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))
+              for s in steps[:5]]
+    up = [(0.0, 0.0, s) for s in steps]
+    cloud = PointCloud([(0.0, 0.0, 0.0)] + ring + spokes + up, eps)
+    assert assert_matches_classify_point(cloud)[0] == 0
+    monkeypatch.setattr("stratograph.dimension._DEGENERATE", 0.0)
+    assert classify_cloud(cloud)[0] == 1
 
 
 def test_parallel_strands_decided_by_ball_test():
     # the oracle input above only probes branch (a) if the ball test alone
     # decides: a disconnected ball whose annulus has four components
     cloud = parallel_strands()
-    params = ClassifierParams.from_epsilon(EPS)
+    params = reference_params(EPS)
     pts = cloud.array
     mid = int(np.argmin(sq_dists(pts, (0.0, 0.0))))
     ball = pts[sq_dists(pts, pts[mid]) <= params.local_radius ** 2]
@@ -358,19 +359,6 @@ def test_parallel_strands_decided_by_ball_test():
     n_ann, _ = _component_labels(annulus, params.annulus_edge_threshold)
     assert (n_ball, n_ann) == (2, 4)
     assert classify_cloud(cloud)[mid] == 1
-
-
-def test_classify_all_thresholds_above_graph_radius():
-    # thresholds beyond the 3-eps graph radius: pairs the adjacency lacks
-    # must still connect components
-    params = ClassifierParams.from_epsilon(EPS, annulus_edge_threshold=4.0 * EPS,
-                                           ball_edge_threshold=3.5 * EPS)
-    for cloud in (star_cloud(EPS, arms=3, arm_steps=30), parallel_strands(),
-                  five_vertex_cloud(EMBED_2D)):
-        graph = build_graph(cloud, 3.0 * EPS)
-        assert min(params.annulus_edge_threshold,
-                   params.ball_edge_threshold) > graph.radius
-        assert_matches_classify_point(cloud, params)
 
 
 def test_far_from_vertices_labeled_one():

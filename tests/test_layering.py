@@ -123,3 +123,15 @@ def test_one_cloud_and_its_epsilon_in():
                     if isinstance(a, argparse._SubParsersAction)).choices
     options = [a.option_strings[0] for a in commands["reconstruct"]._actions]
     assert options == ["-h", "--cloud", "--epsilon", "--out"]
+
+
+def test_classifier_at_fixed_multiples_of_epsilon():
+    # every classifier and vertex-cluster threshold is a fixed multiple of
+    # epsilon, so no stage takes one and no parameter object is left
+    from stratograph.dimension import classify_all
+    from stratograph.stratify import cluster_vertices
+
+    assert list(inspect.signature(classify_all).parameters) == ["graph"]
+    assert list(inspect.signature(cluster_vertices).parameters) == ["graph", "labels"]
+    assert not hasattr(stratograph, "ClassifierParams")
+    assert "dataclasses" not in absolute_imports(SOURCES / "dimension.py")

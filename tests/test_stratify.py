@@ -6,7 +6,7 @@ import pytest
 
 from stratograph import (AbstractGraph, DimensionLabels, IncidenceError,
                          NeighborhoodGraph, PointCloud, build_graph, classify_all,
-                         cluster_edges, cluster_vertices, assign_incidence,
+                         cluster_edges, cluster_vertices, assign_incidence, components,
                          reconstruct_structure, sample_graph, SampleOptions,
                          EmbeddedGraph, graph_isomorphic)
 from conftest import EPS, EMBED_2D, star_cloud
@@ -46,7 +46,7 @@ def test_cluster_vertices_huge_threshold_single_cluster(truth_3d):
     cloud = sample_graph(truth_3d, EPS, SampleOptions(seed=1))
     graph = build_graph(cloud, 3.0 * EPS)
     labels = classify_all(graph)
-    clusters = cluster_vertices(graph, labels, threshold=1000 * EPS)
+    clusters = components(graph, labels.indices_of(0), 1000 * EPS)
     assert len(clusters) == 1
     assert list(clusters[0]) == labels.indices_of(0).tolist()
 
@@ -73,9 +73,10 @@ def test_cluster_threshold_is_parameterized():
     cloud = PointCloud(pts, EPS)
     graph = build_graph(cloud, 3.0 * EPS)
     labels = DimensionLabels([0, 0, 0])
-    # default 10 eps = 1.0 merges the chain; 0.4 splits it
+    # vertex clusters at 10 eps = 1.0 merge the chain; components at 0.4
+    # split it
     assert len(cluster_vertices(graph, labels)) == 1
-    assert len(cluster_vertices(graph, labels, threshold=0.4)) == 3
+    assert len(components(graph, labels.indices_of(0), 0.4)) == 3
 
 
 def test_assign_incidence_single_segment():
@@ -249,9 +250,9 @@ def test_non_finite_thresholds_rejected(value):
     graph = build_graph(cloud, 3.0 * EPS)
     labels = DimensionLabels([0] + [1] * 29 + [0])
     with pytest.raises(ValueError, match="finite"):
-        cluster_vertices(graph, labels, threshold=value)
+        components(graph, labels.indices_of(0), value)
     with pytest.raises(ValueError, match="finite"):
-        cluster_vertices(graph, DimensionLabels([1] * 31), threshold=value)
+        components(graph, DimensionLabels([1] * 31).indices_of(0), value)
 
 
 def test_reconstruct_structure_five_vertex_graph(truth_2d, five_vertex_graph):
