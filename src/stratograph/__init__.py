@@ -28,7 +28,7 @@ line exposes the same stages on files.
 """
 
 from .core import (AbstractGraph, DimensionLabels, EmbeddedGraph, PointCloud,
-                   Stratification, ValidationReport, validate_cloud)
+                   Stratification)
 from .dimension import angle_test, classify_all
 from .fit import FitProblem, FitResult, fit, initialize, objective
 from .geometry import dist_to_embedded_graph, project_to_segment
@@ -50,14 +50,14 @@ __all__ = [
     "AbstractGraph", "AssumptionReport", "BiasReport", "DimensionLabels",
     "EmbeddedGraph", "FitProblem", "FitResult", "FormatError",
     "IncidenceError", "NeighborhoodGraph", "PointCloud", "SampleOptions",
-    "Stratification", "UnsupportedGraphSize", "ValidationReport",
-    "angle_test", "assign_incidence", "build_graph", "check_assumptions",
-    "classify_all", "cluster_edges", "cluster_vertices", "components",
+    "Stratification", "UnsupportedGraphSize", "angle_test",
+    "assign_incidence", "build_graph", "check_assumptions", "classify_all",
+    "cluster_edges", "cluster_vertices", "components",
     "dist_to_embedded_graph", "estimate_bias", "fit", "graph_isomorphic",
     "hausdorff", "initialize", "iter_isomorphisms", "objective",
     "project_to_segment", "read_cloud", "read_embedded_graph",
     "read_fit_result", "read_stratification", "reconstruct_structure",
-    "sample_graph", "validate_cloud", "validate_epsilon_sample",
-    "vertex_error", "write_cloud", "write_embedded_graph",
-    "write_fit_result", "write_report", "write_stratification",
+    "sample_graph", "validate_epsilon_sample", "vertex_error",
+    "write_cloud", "write_embedded_graph", "write_fit_result",
+    "write_report", "write_stratification",
 ]

@@ -12,7 +12,8 @@ cloud.json is written and before any later artifact or the manifest.
 Exit codes: 0 success, 1 bad options, 2 I/O or parse failure,
 3 failed certification or reconstruction, 4 fit non-convergence.  Every
 error path prints a single line starting with "error:" to stderr, a
-refused command line (exit 1) included.
+refused command line (exit 1) included.  Each input file is checked as
+it is read, so the first bad one decides the exit code.
 """
 from __future__ import annotations
 
@@ -80,7 +81,6 @@ def _generate(graph, epsilon: float, options: SampleOptions, out: str):
 
 
 def _reconstruct(cloud, out: str):
-    cloud.array  # an invalid cloud is bad input (exit 1), as in every stage
     try:
         strat = reconstruct_structure(cloud)
     except ValueError as exc:
@@ -136,7 +136,11 @@ def _evaluate(fitted, truth, cloud, out: str) -> dict:
 def _emit_plot(cloud, strat, fitted_positions, out: str) -> list:
     """Plot-ready CSV: one row per sample with its cluster and label (when
     ``strat`` is given), then one row per fitted vertex."""
-    dim = cloud.array.shape[1]
+    dim = cloud.ambient_dim
+    if (fitted_positions is not None and len(fitted_positions)
+            and fitted_positions.shape[1] != dim):
+        raise _StageError(1, f"the fitted model has {fitted_positions.shape[1]} "
+                             f"coordinates per vertex, the cloud {dim}")
     rows = ["kind,cluster,dim," + ",".join(f"x{i}" for i in range(dim))]
     cells = [","] * len(cloud)
     if strat is not None:

@@ -1,10 +1,9 @@
 """Domain types: point clouds, abstract/embedded graphs, stratifications.
 
 Values are immutable after construction (inputs are copied into frozen
-arrays), so they can be shared freely across threads.  ``PointCloud``
-construction is deliberately permissive: malformed inputs are representable
-so that ``validate_cloud`` can report what is wrong instead of crashing;
-pipeline operations require a valid cloud and raise otherwise.
+arrays), so they can be shared freely across threads.  Each type checks
+its input when it is built and raises ValueError otherwise, so a value
+that exists is valid: a ``PointCloud`` names every bad point it was given.
 ``Stratification`` holds the sample partition, as cluster tuples and as
 one cluster id per point.
 """
@@ -12,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,11 +43,14 @@ class PointCloud:
     sample within epsilon.  It is always supplied by the caller, never
     estimated from the data.
 
-    Coordinates are one frozen flat array (``array`` is a view of it) plus
-    each point's count; ragged rows are kept for ``validate_cloud`` to name.
+    ``array`` is a frozen (n_points, ambient_dim) copy of the points.  A
+    cloud that is empty, has an epsilon that is not finite and positive, or
+    has a point with a non-finite coordinate or another coordinate count
+    than the first point is a ValueError naming every such point, in index
+    order.
     """
 
-    def __init__(self, points, epsilon: float, ambient_dim: Optional[int] = None):
+    def __init__(self, points, epsilon: float):
         try:
             rows = np.array(points, dtype=float)
             flat = rows.reshape(-1)
@@ -57,99 +59,51 @@ class PointCloud:
             rows = [np.asarray(p, dtype=float).reshape(-1) for p in points]
             flat = np.concatenate(rows)
             lens = np.array([len(p) for p in rows], dtype=np.int64)
-        self._flat, self._lens = _freeze(flat), lens
         self.epsilon = float(epsilon)
-        self.ambient_dim = (int(ambient_dim) if ambient_dim is not None
-                            else int(lens[0]) if len(lens) else 0)
-        self._array: Optional[np.ndarray] = None
+        findings = _findings(self.epsilon, flat, lens)
+        if findings:
+            raise ValueError("invalid point cloud: " + "; ".join(findings))
+        self.array = _freeze(flat.reshape(len(lens), -1))
 
     @property
-    def points(self):
-        """The points, one frozen 1-D view of the coordinates each."""
-        ends = np.cumsum(self._lens)
-        return tuple(np.split(self._flat, ends[:-1])) if len(ends) else ()
+    def ambient_dim(self) -> int:
+        return self.array.shape[1]
 
     def __len__(self) -> int:
-        return len(self._lens)
-
-    @property
-    def array(self) -> np.ndarray:
-        """All points as an (n_points, ambient_dim) array; requires a valid cloud."""
-        if self._array is None:
-            findings, arr = _validate(self)
-            if findings:
-                raise ValueError("invalid point cloud: " + "; ".join(findings))
-            self._array = arr
-        return self._array
+        return len(self.array)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PointCloud):
             return NotImplemented
         return (self.epsilon == other.epsilon
-                and self.ambient_dim == other.ambient_dim
-                and np.array_equal(self._lens, other._lens)
-                and np.array_equal(self._flat, other._flat))
+                and np.array_equal(self.array, other.array))
 
     def __repr__(self) -> str:
         return (f"PointCloud(n={len(self)}, ambient_dim={self.ambient_dim}, "
                 f"epsilon={self.epsilon})")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of ``validate_cloud``: fatal findings plus informational warnings.
-
-    ``valid`` is determined by findings alone; warnings (currently only
-    duplicate points, which the pipeline permits) never invalidate a cloud.
-    """
-    findings: tuple
-    warnings: tuple = ()
-
-    @property
-    def valid(self) -> bool:
-        return not self.findings
-
-    def as_dict(self) -> dict:
-        return {"valid": self.valid, "findings": list(self.findings),
-                "warnings": list(self.warnings)}
-
-
-def validate_cloud(cloud: PointCloud) -> ValidationReport:
-    """Check the PointCloud invariants, reporting every violation found;
-    a valid cloud is then scanned for duplicate points."""
-    findings, arr = _validate(cloud)
-    if findings:
-        return ValidationReport(findings)
-    return ValidationReport((), tuple(f"duplicate point: indices {a} and {b}"
-                                      for a, b in zip(*_equal_rows(arr))))
-
-
-def _validate(cloud: PointCloud):
-    """``(findings, array)``: the findings of ``validate_cloud`` in index
-    order, and, when every point has ``ambient_dim`` coordinates, the
-    (n_points, ambient_dim) view of the cloud's flat array, else None."""
+def _findings(epsilon: float, flat: np.ndarray, lens: np.ndarray) -> list:
+    """What is wrong with a cloud of ``epsilon`` whose point i has the next
+    ``lens[i]`` coordinates of ``flat``; points are named in index order."""
     findings = []
-    if not np.isfinite(cloud.epsilon) or cloud.epsilon <= 0.0:
+    if not np.isfinite(epsilon) or epsilon <= 0.0:
         findings.append("epsilon must be positive")
-    n = len(cloud)
+    n = len(lens)
     if n == 0:
-        findings.append("point cloud is empty")
-        return tuple(findings), None
-    if cloud.ambient_dim < 1:
-        findings.append(f"points need at least one coordinate, "
-                        f"ambient_dim is {cloud.ambient_dim}")
-    lens, flat = cloud._lens, cloud._flat
+        return findings + ["point cloud is empty"]
+    dim = int(lens[0])
+    if dim < 1:
+        findings.append(f"points need at least one coordinate, ambient_dim is {dim}")
     nonfinite = np.bincount(np.repeat(np.arange(n), lens)[~np.isfinite(flat)],
                             minlength=n) > 0
-    wrong = lens != cloud.ambient_dim
+    wrong = lens != dim
     for i in np.flatnonzero(wrong | nonfinite).tolist():
         if wrong[i]:
-            findings.append(f"point {i} has {lens[i]} coordinates, "
-                            f"expected {cloud.ambient_dim}")
+            findings.append(f"point {i} has {lens[i]} coordinates, expected {dim}")
         else:
             findings.append(f"non-finite coordinate at index {i}")
-    arr = None if wrong.any() else flat.reshape(n, cloud.ambient_dim)
-    return tuple(findings), arr
+    return findings
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ reals (coordinates, epsilon, thetas, objective) only as JSON numbers, not
 strings or booleans; an integer too large for a float is a format error.
 A CSV field must be an ASCII decimal literal that fits a float (spaces
 around it allowed), or ``nan``, ``inf`` or ``-inf`` as ``repr`` writes
-them; those read as such, for the cloud's validation to refuse.
+them; those read as such, and the ``PointCloud`` built from them then
+refuses them with its own ValueError, not a FormatError.
 """
 from __future__ import annotations
 
@@ -227,11 +228,15 @@ def read_embedded_graph(path: str) -> EmbeddedGraph:
 
 def _embedded_graph(data: dict, path: str) -> EmbeddedGraph:
     _require(data, path, "vertices", "edges")
-    positions = _parse_points(data["vertices"], path, "vertices")
-    edges = _index_pairs(path, "edges", data["edges"])
+    return _model(path, _parse_points(data["vertices"], path, "vertices"),
+                  _index_pairs(path, "edges", data["edges"]))
+
+
+def _model(path: str, positions, edges) -> EmbeddedGraph:
+    """The graph with these vertex positions and edges, or a FormatError
+    naming ``path``."""
     try:
-        graph = AbstractGraph(len(positions), edges)
-        return EmbeddedGraph(graph, positions)
+        return EmbeddedGraph(AbstractGraph(len(positions), edges), positions)
     except (ValueError, TypeError, IndexError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -267,7 +272,7 @@ def read_fit_result(path: str) -> FitResult:
 
 def _fit_result(data: dict, path: str) -> FitResult:
     _require(data, path, "vertices", "thetas", "objective", "iterations",
-             "converged")
+             "converged", "pinned", "edges")
     return FitResult(
         vertex_positions=np.array(_parse_points(data["vertices"], path, "vertices"),
                                   dtype=float),
@@ -275,15 +280,16 @@ def _fit_result(data: dict, path: str) -> FitResult:
         objective_trace=tuple(_numbers(path, "objective", data["objective"])),
         iterations=_convert(path, "iterations", data["iterations"], _index),
         converged=_convert(path, "converged", data["converged"], _flag),
-        pinned=tuple(_numbers(path, "pinned", data.get("pinned", []), _index)),
-        edges=tuple(_index_pairs(path, "edges", data.get("edges", []))))
+        pinned=tuple(_numbers(path, "pinned", data["pinned"], _index)),
+        edges=tuple(_index_pairs(path, "edges", data["edges"])))
 
 
 def read_fitted(path: str) -> EmbeddedGraph:
     """A fitted model file: FitResult JSON or plain embedded-graph JSON."""
     data = _load_json(path)
     if "thetas" in data:
-        return _fit_result(data, path).embedded_graph()
+        result = _fit_result(data, path)
+        return _model(path, result.vertex_positions, result.edges)
     return _embedded_graph(data, path)
 
 

@@ -128,7 +128,7 @@ def sample_graph(graph: EmbeddedGraph, epsilon: float,
         sites = t[:, None] * pos[i] + (1.0 - t)[:, None] * pos[j]
         erng = np.random.default_rng([opt.seed, 1, e_idx])
         blocks.append(sites + _ball_offsets(erng, len(sites), dim, opt.noise_radius))
-    return PointCloud(np.concatenate(blocks), epsilon, ambient_dim=dim)
+    return PointCloud(np.concatenate(blocks), epsilon)
 
 
 def _require_positive(name: str, value) -> None:
@@ -199,8 +199,6 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
         resolution = epsilon / 100.0
     _require_positive("resolution", resolution)
     pts = cloud.array
-    if len(pts) == 0:
-        raise ValueError("empty cloud")
     pos = graph.vertex_positions
     if len(pos) == 0:
         raise ValueError("empty graph")

@@ -297,6 +297,14 @@ GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
     pytest.param("cloud.csv", "0,0\n" + "9" * 401 + ",0\n", "row 2",
                  id="cloud.csv-401-digits"),
     pytest.param("cloud.csv", "0,0\n1,1e400\n", "row 2", id="cloud.csv-1e400"),
+    # a fit file holds every key write_fit_result writes, and its model is
+    # checked as a graph file's is
+    pytest.param("fit.json", {k: v for k, v in GOOD_FIT.items() if k != "edges"},
+                 "missing key 'edges'", id="fit.json-without-edges"),
+    pytest.param("fit.json", {k: v for k, v in GOOD_FIT.items() if k != "pinned"},
+                 "missing key 'pinned'", id="fit.json-without-pinned"),
+    pytest.param("fit.json", {**GOOD_FIT, "edges": [[0, 5]]},
+                 "edge (0, 5) out of range for 2 vertices", id="fit.json-edge-out-of-range"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_malformed_json_values_exit_2(tmp_path, capsys, segment_file, name,
                                      content, position):
@@ -367,6 +375,27 @@ def test_fitted_reads_fit_or_graph_file(tmp_path, capsys, segment_file, command,
         assert captured.err.startswith(f"error: {fitted}: {problem}")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "emit-plot"])
+def test_fitted_model_of_another_dimension_exits_1(tmp_path, capsys, command):
+    # a 2D cloud and a 3D model: emit-plot would write vertex rows wider
+    # than its header, and evaluate cannot measure the one against the other
+    (tmp_path / "cloud.json").write_text(json.dumps(GOOD_CLOUD))
+    (tmp_path / "strat.json").write_text(json.dumps(GOOD_STRAT))
+    fitted = tmp_path / "fitted.json"
+    fitted.write_text(json.dumps({"vertices": [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]],
+                                  "edges": [[0, 1]]}))
+    out = tmp_path / "out"
+    args = {"evaluate": ["--truth", fitted],
+            "emit-plot": ["--stratification", tmp_path / "strat.json"]}[command]
+    code = run([command, "--fitted", fitted, "--cloud", tmp_path / "cloud.json",
+                *args, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_emit_plot_requires_some_labeling(tmp_path, graph_file, capsys):
@@ -482,6 +511,35 @@ def test_csv_non_finite_spellings_exit_1(tmp_path, capsys, field):
     assert captured.err.startswith(
         "error: invalid point cloud: non-finite coordinate at index 1")
     assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+NAN_CLOUD_COMMANDS = {
+    "reconstruct": ["reconstruct"],
+    "fit": ["fit", "--stratification", "strat.json"],
+    "evaluate": ["evaluate", "--fitted", "fit.json", "--truth", "fit.json"],
+    "emit-plot": ["emit-plot", "--stratification", "strat.json"],
+}
+
+
+@pytest.mark.parametrize("command, strat",
+                         [(c, GOOD_STRAT) for c in NAN_CLOUD_COMMANDS] + [("fit", "{")],
+                         ids=[*NAN_CLOUD_COMMANDS, "fit-then-malformed-stratification"])
+def test_invalid_cloud_exits_1_in_every_command(tmp_path, capsys, command, strat):
+    # a cloud is checked as it is read, so it is refused before a later
+    # malformed file is reached
+    (tmp_path / "cloud.csv").write_text("0,0\nnan,0\n2,0\n")
+    (tmp_path / "fit.json").write_text(json.dumps(GOOD_FIT))
+    (tmp_path / "strat.json").write_text(
+        strat if isinstance(strat, str) else json.dumps(strat))
+    out = tmp_path / "out"
+    argv = [tmp_path / a if a.endswith(".json") else a
+            for a in NAN_CLOUD_COMMANDS[command]]
+    code = run(argv + ["--cloud", tmp_path / "cloud.csv", "--epsilon", EPS,
+                       "--out", out])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: invalid point cloud: non-finite coordinate at index 1\n"
     assert not out.exists()
 
 

@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from stratograph import (AbstractGraph, DimensionLabels, EmbeddedGraph,
-                         PointCloud, Stratification, ValidationReport,
-                         validate_cloud)
+                         PointCloud, Stratification)
 from stratograph import core
 
 
@@ -24,85 +23,70 @@ def test_cloud_array_is_readonly():
 
 def test_cloud_copies_its_input_array():
     # the cloud keeps its own copy: later writes to the caller's array
-    # reach neither points, array nor equality
+    # reach neither array nor equality
     source = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     cloud = PointCloud(source, 0.1)
     twin = PointCloud(source.copy(), 0.1)
-    cloud.array
     for k, value in ((1, 5.0), (2, 7.0)):
         source[k, 0] = value
-        assert [p.tolist() for p in cloud.points] == [[0, 0], [1, 0], [0, 1]]
         assert cloud.array.tolist() == [[0, 0], [1, 0], [0, 1]]
         assert cloud == twin
-    with pytest.raises(ValueError):
-        cloud.points[0][0] = 5.0
     assert PointCloud((p for p in source), 0.1).array.tolist() == source.tolist()
 
 
 def test_validate_cloud_accepts_wellformed():
-    report = validate_cloud(PointCloud([(0, 0), (1, 0), (0, 1)], 0.1))
-    assert report.valid
-    assert report.findings == ()
+    cloud = PointCloud([(0, 0), (1, 0), (0, 1)], 0.1)
+    assert cloud.array.tolist() == [[0, 0], [1, 0], [0, 1]]
 
 
 def test_validate_cloud_nonfinite_coordinate():
-    report = validate_cloud(PointCloud([(float("nan"), 0), (1, 0)], 0.1))
-    assert not report.valid
-    assert "non-finite coordinate at index 0" in report.findings
+    with pytest.raises(ValueError) as exc:
+        PointCloud([(float("nan"), 0), (1, 0)], 0.1)
+    assert str(exc.value) == "invalid point cloud: non-finite coordinate at index 0"
 
 
 def test_validate_cloud_nonpositive_epsilon():
-    report = validate_cloud(PointCloud([(0, 0)], 0.0))
-    assert not report.valid
-    assert "epsilon must be positive" in report.findings
+    with pytest.raises(ValueError) as exc:
+        PointCloud([(0, 0)], 0.0)
+    assert str(exc.value) == "invalid point cloud: epsilon must be positive"
 
 
-def test_validate_cloud_duplicates_are_warnings_not_findings():
+def test_cloud_with_duplicate_points_builds():
     # duplicates are permitted by the neighborhood-graph contract
     cloud = PointCloud([(0, 0), (0, 0)], 0.1)
-    report = validate_cloud(cloud)
-    assert report.valid
-    assert any("duplicate" in w for w in report.warnings)
+    assert cloud.array.tolist() == [[0, 0], [0, 0]]
 
 
 def test_cloud_array_skips_the_duplicate_scan(monkeypatch):
-    # duplicates never invalidate a cloud, so only validate_cloud, which
-    # reports them, pays for the sort that finds them
+    # duplicates never invalidate a cloud, so building one never pays for
+    # the sort that would find them
     calls = []
     equal_rows = core._equal_rows
     monkeypatch.setattr(core, "_equal_rows", lambda arr: calls.append(1) or equal_rows(arr))
     cloud = PointCloud([(0, 0), (1, 0), (0, 0)], 0.1)
     assert cloud.array.shape == (3, 2)
     assert calls == []
-    assert validate_cloud(cloud).warnings == ("duplicate point: indices 0 and 2",)
-    assert calls == [1]
 
 
-def validate_per_point(cloud):
-    """Reference: every point checked on its own, in index order."""
+def validate_per_point(points, epsilon):
+    """Reference: every point checked on its own, in index order.  Returns
+    the findings and, when there are none, the points as one array."""
+    rows = [np.asarray(p, dtype=float).reshape(-1) for p in points]
     findings = []
-    warnings = []
-    if not np.isfinite(cloud.epsilon) or cloud.epsilon <= 0.0:
+    if not np.isfinite(epsilon) or epsilon <= 0.0:
         findings.append("epsilon must be positive")
-    if len(cloud) == 0:
+    if not rows:
         findings.append("point cloud is empty")
-    elif cloud.ambient_dim < 1:
-        findings.append(f"points need at least one coordinate, "
-                        f"ambient_dim is {cloud.ambient_dim}")
-    for i, p in enumerate(cloud.points):
-        if len(p) != cloud.ambient_dim:
-            findings.append(
-                f"point {i} has {len(p)} coordinates, expected {cloud.ambient_dim}")
+        return findings, None
+    dim = len(rows[0])
+    if dim < 1:
+        findings.append(f"points need at least one coordinate, ambient_dim is {dim}")
+    for i, p in enumerate(rows):
+        if len(p) != dim:
+            findings.append(f"point {i} has {len(p)} coordinates, expected {dim}")
         elif not np.all(np.isfinite(p)):
             findings.append(f"non-finite coordinate at index {i}")
-    if not findings and len(cloud) > 1:
-        arr = np.array(cloud.points)
-        order = np.lexsort(arr.T)
-        same = np.all(arr[order][1:] == arr[order][:-1], axis=1)
-        for k in np.nonzero(same)[0]:
-            warnings.append(
-                f"duplicate point: indices {order[k]} and {order[k + 1]}")
-    return ValidationReport(tuple(findings), tuple(warnings))
+    return findings, (None if findings else np.array(rows))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -110,44 +94,48 @@ MIXED = [(0, 0), (1,), (2, 0, 0), (NAN, 1), (1, -INF), (0, 0), (3, 3),
          (NAN, INF, 0), (), (1, 1)]
 
 
-@pytest.mark.parametrize("points,epsilon,ambient_dim", [
-    (MIXED, 0.1, None),
-    (MIXED, 0.1, 3),
-    (MIXED, NAN, None),
-    ([(0, 0), (1, 1), (0, 0), (1, 1), (0, 0)], 0.1, None),
-    ([(0, 0), (1, 1), (0, 0)], -1.0, None),
-    ([(2.0, 1.0, 0.5)], 0.1, None),
-    ([], 0.1, None),
-    ([], 0.0, 2),
-    ([(), ()], 0.1, None),
-    ([()], 0.1, None),
-    ([(), (1.0,)], 0.1, None),
-    (np.random.default_rng(0).integers(0, 4, (300, 2)), 0.1, None),
-])
-def test_validate_cloud_matches_per_point_reference(points, epsilon, ambient_dim):
-    cloud = PointCloud(points, epsilon, ambient_dim)
-    report = validate_cloud(cloud)
-    assert report == validate_per_point(cloud)
-    if report.valid:
-        want = np.array(cloud.points, dtype=float).reshape(len(cloud), cloud.ambient_dim)
+CASES = {
+    "mixed": (MIXED, 0.1),
+    "mixed-nan-epsilon": (MIXED, NAN),
+    "duplicates": ([(0, 0), (1, 1), (0, 0), (1, 1), (0, 0)], 0.1),
+    "negative-epsilon": ([(0, 0), (1, 1), (0, 0)], -1.0),
+    "one-3d-point": ([(2.0, 1.0, 0.5)], 0.1),
+    "empty": ([], 0.1),
+    "empty-zero-epsilon": ([], 0.0),
+    "two-without-coordinates": ([(), ()], 0.1),
+    "one-without-coordinates": ([()], 0.1),
+    "none-then-one-coordinate": ([(), (1.0,)], 0.1),
+    "random-ints": (np.random.default_rng(0).integers(0, 4, (300, 2)), 0.1),
+    # one point per entry of a flat list, one per first index of a block
+    "flat-list": ([1.5, NAN, 2.5], 0.1),
+    "3d-block": (np.arange(8.0).reshape(2, 2, 2), 0.1),
+}
+
+
+@pytest.mark.parametrize("points,epsilon", CASES.values(), ids=CASES)
+def test_validate_cloud_matches_per_point_reference(points, epsilon):
+    findings, want = validate_per_point(points, epsilon)
+    if findings:
+        with pytest.raises(ValueError) as exc:
+            PointCloud(points, epsilon)
+        assert str(exc.value) == "invalid point cloud: " + "; ".join(findings)
+    else:
+        cloud = PointCloud(points, epsilon)
         assert cloud.array.shape == want.shape
         assert np.array_equal(cloud.array, want)
-    else:
-        with pytest.raises(ValueError, match=report.findings[0]):
-            cloud.array
 
 
 def test_validate_cloud_mixed_rows_in_index_order():
-    report = validate_cloud(PointCloud(MIXED, 0.1))
-    assert report.findings == (
+    with pytest.raises(ValueError) as exc:
+        PointCloud(MIXED, 0.1)
+    assert str(exc.value) == "invalid point cloud: " + "; ".join((
         "point 1 has 1 coordinates, expected 2",
         "point 2 has 3 coordinates, expected 2",
         "non-finite coordinate at index 3",
         "non-finite coordinate at index 4",
         "point 7 has 3 coordinates, expected 2",
         "point 8 has 0 coordinates, expected 2",
-    )
-    assert report.warnings == ()
+    ))
 
 
 def test_abstract_graph_normalizes_and_validates():

@@ -74,8 +74,8 @@ def test_cloud_csv_non_numeric_names_line(tmp_path):
     ("5e-324", 5e-324),
     ("1e-400", 0.0),
     ("-0.0", -0.0),
-    # the spellings repr gives non-finite floats read as such; the cloud's
-    # validation refuses them
+    # the spellings repr gives non-finite floats read as such (nan as
+    # None), and the cloud built from them refuses them
     ("nan", None),
     ("inf", float("inf")),
     ("-inf", -float("inf")),
@@ -101,11 +101,14 @@ def test_cloud_csv_fields_are_decimal_numbers(tmp_path, field, value):
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: row 2: "):
             read_cloud(str(path), epsilon=0.1)
         return
-    got = read_cloud(str(path), epsilon=0.1).points[1][1]
-    if value is None:
-        assert np.isnan(got)
-    else:
-        assert got == value and np.signbit(got) == np.signbit(value)
+    if value is None or np.isinf(value):
+        with pytest.raises(ValueError) as exc:
+            read_cloud(str(path), epsilon=0.1)
+        assert not isinstance(exc.value, FormatError)
+        assert str(exc.value) == "invalid point cloud: non-finite coordinate at index 1"
+        return
+    got = read_cloud(str(path), epsilon=0.1).array[1, 1]
+    assert got == value and np.signbit(got) == np.signbit(value)
 
 
 def test_cloud_csv_without_epsilon_rejected(tmp_path):

@@ -135,3 +135,14 @@ def test_classifier_at_fixed_multiples_of_epsilon():
     assert list(inspect.signature(cluster_vertices).parameters) == ["graph", "labels"]
     assert not hasattr(stratograph, "ClassifierParams")
     assert "dataclasses" not in absolute_imports(SOURCES / "dimension.py")
+
+
+def test_a_cloud_is_valid_when_it_exists():
+    # a PointCloud checks its points and epsilon when it is built, so no
+    # second validation path, dimension override or ragged view is left
+    from stratograph import PointCloud
+
+    assert list(inspect.signature(PointCloud).parameters) == ["points", "epsilon"]
+    assert not hasattr(stratograph, "validate_cloud")
+    assert not hasattr(stratograph, "ValidationReport")
+    assert not hasattr(PointCloud, "points")
