@@ -28,7 +28,7 @@ def main():
     for degrees in (180.0, 90.0, 45.0):
         pts = corner_points(math.radians(degrees), arm_steps=25)
         cloud = PointCloud(pts, EPS)
-        labels = classify_all(build_graph(cloud, 3 * EPS)).labels
+        labels = classify_all(build_graph(cloud)).labels
 
         dist = np.linalg.norm(pts, axis=1)
         order = np.argsort(dist)

@@ -22,9 +22,9 @@ The stages are importable separately: dimension classification
 (classify_all), clustering and incidence (stratify module), least-squares
 coordinate recovery (fit module), plus a certified sampler, validators,
 and evaluation metrics.  Every stage threshold is a fixed multiple of the
-cloud's epsilon, so the stages take the neighbourhood graph at 3 epsilon
-(build_graph) and no threshold of their own.  The ``stratograph`` command
-line exposes the same stages on files.
+cloud's epsilon, so the stages take the neighbourhood graph, which
+build_graph(cloud) builds at 3 epsilon, and no threshold of their own.
+The ``stratograph`` command line exposes the same stages on files.
 """
 
 from .core import (AbstractGraph, DimensionLabels, EmbeddedGraph, PointCloud,

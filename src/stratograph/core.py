@@ -57,7 +57,7 @@ class PointCloud:
             lens = np.broadcast_to(flat.size // max(len(rows), 1), len(rows))
         except (TypeError, ValueError):  # ragged rows, or an iterator
             rows = [np.asarray(p, dtype=float).reshape(-1) for p in points]
-            flat = np.concatenate(rows)
+            flat = np.concatenate(rows + [np.empty(0)])  # an empty iterator too
             lens = np.array([len(p) for p in rows], dtype=np.int64)
         self.epsilon = float(epsilon)
         findings = _findings(self.epsilon, flat, lens)

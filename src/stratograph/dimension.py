@@ -32,11 +32,10 @@ the definition and ``angle_test`` is its one-query case.
 Every threshold is a fixed multiple of epsilon (Aanjaneya et al.,
 "Metric graph reconstruction from noisy data", SoCG 2011): the local
 radius ``_LOCAL``, the annulus ``_ANNULUS_INNER`` to ``_ANNULUS_OUTER``,
-the edge thresholds ``_BALL_EDGE`` and ``_ANNULUS_EDGE``, and the angle
-``_ANGLE``.  Each radius is taken as ``c * eps`` and compared squared, as
-``r * r``.  ``classify_all`` takes exactly the graph the pipeline builds,
-at radius ``3 * eps``: its CSR rows are then the annulus's pairs, and a
-graph at any other radius is refused.
+the ball's edge threshold ``_BALL_EDGE``, and the angle ``_ANGLE``.  Each
+radius is taken as ``c * eps`` and compared squared, as ``r * r``.  The
+annulus's edge threshold is the neighbourhood graph's radius, 3 eps, so
+its pairs are the graph's CSR rows.
 """
 from __future__ import annotations
 
@@ -49,10 +48,10 @@ from .geometry import sq_dists
 from .neighbors import NeighborhoodGraph, _gather, _min_labels, query_blocks
 
 # Radii in units of epsilon: the local ball, the annulus inside it, and
-# the edge thresholds of the ball and of the annulus; and the angle below
-# which two annulus centroids make a sharp corner.
+# the ball's edge threshold; and the angle below which two annulus
+# centroids make a sharp corner.
 _LOCAL, _ANNULUS_INNER, _ANNULUS_OUTER = 10.0, 8.0, 10.0
-_BALL_EDGE, _ANNULUS_EDGE = 2.0, 3.0
+_BALL_EDGE = 2.0
 _ANGLE = 2.0 * math.acos(0.25)
 _DEGENERATE = 1e-12
 
@@ -204,15 +203,10 @@ def classify_all(graph: NeighborhoodGraph) -> DimensionLabels:
     """Classify every sample of ``graph.cloud`` with the per-ball tests (a),
     (b), (c), in the order and the blocks the module docstring gives.
 
-    ``graph`` must be the pipeline's, at radius ``3 * epsilon`` exactly;
-    any other radius raises ValueError.  Components come from the pairs
-    of its CSR rows, tested with the same squared-distance comparison as
-    the per-ball reference.
+    Components come from the pairs of the graph's CSR rows, tested with
+    the same squared-distance comparison as the per-ball reference.
     """
     eps = graph.cloud.epsilon
-    if graph.radius != _ANNULUS_EDGE * eps:
-        raise ValueError(f"classify_all needs a graph at 3 * epsilon = "
-                         f"{_ANNULUS_EDGE * eps!r}, got graph.radius = {graph.radius!r}")
     n = graph.n_points
     pairs = _upper_pairs(graph)
     out = np.empty(n, dtype=int)

@@ -1,10 +1,11 @@
 """Reading and writing the file formats used by the pipeline.
 
 Formats:
-  point cloud CSV: one point per line, comma-separated coordinates, no
-      header; epsilon travels out-of-band (keyword argument or a JSON
-      sidecar "<path>.meta.json" written alongside).
-  point cloud JSON: {"epsilon": e, "points": [[...], ...]}
+  point cloud CSV, for a path ending in ".csv" (any case): one point per
+      line, comma-separated coordinates, no header; epsilon travels
+      out-of-band (keyword argument or a JSON sidecar "<path>.meta.json"
+      written alongside).
+  point cloud JSON, for any other path: {"epsilon": e, "points": [[...], ...]}
   embedded graph JSON: {"vertices": [[...], ...], "edges": [[i, j], ...]}
   stratification JSON: {"labels": [...], "vertex_clusters": [[...]],
       "edge_clusters": [[...]], "incidence": [[j1, j2], ...]}
@@ -139,25 +140,17 @@ def _sidecar(path: str) -> str:
     return path + ".meta.json"
 
 
-def _infer_format(path: str, format: str | None) -> str:
-    if format is not None:
-        fmt = format.lower()
-    else:
-        fmt = "csv" if path.lower().endswith(".csv") else "json"
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown cloud format {format!r}; use 'csv' or 'json'")
-    return fmt
+def _is_csv(path: str) -> bool:
+    return path.lower().endswith(".csv")
 
 
-def read_cloud(path: str, format: str | None = None,
-               epsilon: float | None = None) -> PointCloud:
-    """Load a point cloud; format inferred from the extension by default.
+def read_cloud(path: str, epsilon: float | None = None) -> PointCloud:
+    """Load a point cloud: CSV when the path ends in ``.csv``, else JSON.
 
     For CSV, epsilon comes from the keyword or from the sidecar written by
     write_cloud; an explicit keyword always wins, also over JSON content.
     """
-    fmt = _infer_format(path, format)
-    if fmt == "json":
+    if not _is_csv(path):
         data = _load_json(path, "epsilon", "points")
         points = _parse_points(data["points"], path, "points")
         if epsilon is None:
@@ -207,11 +200,11 @@ def _parse_points(raw, path: str, key: str) -> list:
     return points
 
 
-def write_cloud(cloud: PointCloud, path: str, format: str | None = None):
-    """Write a cloud; CSV additionally gets an epsilon sidecar."""
-    fmt = _infer_format(path, format)
+def write_cloud(cloud: PointCloud, path: str):
+    """Write a cloud, as CSV when the path ends in ``.csv``, else as JSON;
+    CSV additionally gets an epsilon sidecar."""
     pts = cloud.array
-    if fmt == "json":
+    if not _is_csv(path):
         _dump_json({"epsilon": cloud.epsilon,
                     "points": [[float(c) for c in p] for p in pts]}, path)
         return

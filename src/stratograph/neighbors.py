@@ -13,12 +13,12 @@ arithmetic never decides a tie.
 Every pass over many rows (the graph's own CSR, the classifier's balls,
 ``components`` and incidence) takes them in blocks from ``query_blocks``,
 so it holds one block's pairs at a time.  Row i of the graph's CSR is
-the query row of point i at its radius, i itself included, so passes at
-that radius read the CSR rows as they are and the tree is asked only at
-other radii.  Block limits are sized to the graph: each is the larger
-of a fixed floor and a fixed share of the graph's CSR entries, so a
-large graph runs in fewer and larger blocks, and a block stays a
-bounded share of the memory the graph holds.
+the query row of point i at its radius, 3 eps, i itself included, so
+passes at that radius read the CSR rows as they are and the tree is
+asked only at other radii.  Block limits are sized to the graph: each
+is the larger of a fixed floor and a fixed share of the graph's CSR
+entries, so a large graph runs in fewer and larger blocks, and a block
+stays a bounded share of the memory the graph holds.
 ``components`` returns ascending index arrays ordered by their smallest
 member.
 """
@@ -66,20 +66,25 @@ _BLOCK_SHARE = 512
 # component stages of a 30x30 grid-graph cloud by about 14%.
 _BLOCK_CANDIDATES = 1 << 14
 _CANDIDATE_SHARE = 32
+# The graph's radius in units of epsilon: the classifier's annulus edge
+# threshold, and also the edge-cluster and incidence radius.
+_GRAPH = 3.0
 
 
 class NeighborhoodGraph:
-    """Graph connecting sample indices whose distance is at most ``radius``.
+    """Graph connecting sample indices whose distance is at most ``radius``,
+    3 times the cloud's epsilon; a ValueError if that overflows.
 
     Row i of the CSR arrays ``indptr`` / ``indices`` is ``query`` of sample
     i at ``radius``: the samples within it, i itself once, ascending.
     """
 
-    def __init__(self, cloud: PointCloud, radius: float):
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise ValueError("radius must be finite and positive")
+    def __init__(self, cloud: PointCloud):
+        radius = _GRAPH * cloud.epsilon
+        if not math.isfinite(radius):
+            raise ValueError("graph radius 3 * epsilon must be finite")
         self.cloud = cloud
-        self.radius = float(radius)
+        self.radius = radius
         self.tree = cKDTree(cloud.array)
         counts, parts = [], []
         for _, cnt, indices in query_blocks(self, np.arange(len(cloud.array)),
@@ -135,9 +140,9 @@ class NeighborhoodGraph:
                 f"edges={self.edge_count()})")
 
 
-def build_graph(cloud: PointCloud, radius: float) -> NeighborhoodGraph:
-    """Connect all pairs of cloud points within ``radius`` of each other."""
-    return NeighborhoodGraph(cloud, radius)
+def build_graph(cloud: PointCloud) -> NeighborhoodGraph:
+    """Connect all pairs of cloud points within 3 epsilon of each other."""
+    return NeighborhoodGraph(cloud)
 
 
 def query_blocks(graph: NeighborhoodGraph, rows: np.ndarray, radius: float,

@@ -55,7 +55,6 @@ class SampleOptions:
     noise_radius: float | None = None
     spacing: float | None = None
     seed: int = 0
-    include_vertices: bool = True
 
     def resolve(self, epsilon: float) -> "SampleOptions":
         """Fill defaults from epsilon and check the invariants."""
@@ -65,7 +64,7 @@ class SampleOptions:
             raise ValueError("noise_radius must be < epsilon")
         if not (0.0 < s <= 2.0 * (epsilon - rho)):
             raise ValueError("spacing must satisfy 0 < s <= 2*(epsilon - noise_radius)")
-        return SampleOptions(rho, s, int(self.seed) & _MASK64, self.include_vertices)
+        return SampleOptions(rho, s, int(self.seed) & _MASK64)
 
 
 def _ball_offsets(rng, count: int, dim: int, radius: float) -> np.ndarray:
@@ -94,20 +93,17 @@ def sample_graph(graph: EmbeddedGraph, epsilon: float,
     """Draw a seeded eps-sample of the graph; d_H(X, |G|) <= eps holds by
     construction.
 
-    Reproducible: noise for the vertex block and for each edge comes from
-    its own seeded stream, so the result does not depend on traversal
-    order.  Isolated vertices always receive a site even when
-    include_vertices is off, otherwise they could never be covered; the
-    other vertices still draw their noise, so the streams do not shift.
-    A spacing that asks for more than ``_MAX_SITES`` sites is a ValueError,
-    raised before anything is drawn.
+    Every vertex gets a site, and each edge the sites strictly between its
+    ends.  Reproducible: noise for the vertex block and for each edge
+    comes from its own seeded stream, so the result does not depend on
+    traversal order.  A spacing that asks for more than ``_MAX_SITES``
+    sites is a ValueError, raised before anything is drawn.
     """
     if epsilon <= 0.0 or not np.isfinite(epsilon):
         raise ValueError("epsilon must be positive")
     opt = (options or SampleOptions()).resolve(epsilon)
     pos = graph.vertex_positions
     dim = graph.ambient_dim
-    keep = opt.include_vertices | (graph.graph.degrees() == 0)
 
     lengths = graph.edge_lengths()
     if not lengths.all():
@@ -115,16 +111,16 @@ def sample_graph(graph: EmbeddedGraph, epsilon: float,
     # sites along pos[j] -> pos[i], gap <= spacing; the slack keeps a
     # length that is a multiple of it from gaining a spurious subdivision
     pieces = np.maximum(1.0, np.ceil(lengths / opt.spacing * (1.0 - 1e-12)))
-    n_sites = int(keep.sum()) + float(np.sum(pieces + (-1.0 if opt.include_vertices else 1.0)))
+    n_sites = len(pos) + float(np.sum(pieces - 1.0))
     if not n_sites <= _MAX_SITES:
         raise ValueError(f"spacing {opt.spacing} asks for {n_sites:.4g} sites, "
                          f"more than the {_MAX_SITES} a cloud may have")
 
     vrng = np.random.default_rng([opt.seed, 0])
-    blocks = [(pos + _ball_offsets(vrng, len(pos), dim, opt.noise_radius))[keep]]
+    blocks = [pos + _ball_offsets(vrng, len(pos), dim, opt.noise_radius)]
     for e_idx, (i, j) in enumerate(graph.graph.edges):
         m = int(pieces[e_idx])
-        t = (np.arange(1, m) if opt.include_vertices else np.arange(m + 1)) / m
+        t = np.arange(1, m) / m
         sites = t[:, None] * pos[i] + (1.0 - t)[:, None] * pos[j]
         erng = np.random.default_rng([opt.seed, 1, e_idx])
         blocks.append(sites + _ball_offsets(erng, len(sites), dim, opt.noise_radius))

@@ -4,8 +4,8 @@ their incidence, which together determine the abstract graph.
 ``reconstruct_structure`` takes the cloud alone: every radius is a fixed
 multiple of its epsilon.  Vertex clusters are connected components of the
 dimension-0 samples at a generous 10*eps (vertex neighborhoods are wide
-but well separated).  Edge clusters use the neighbourhood graph's own
-3*eps radius, and each must touch exactly two vertex clusters within it;
+but well separated).  Edge clusters use the neighbourhood graph's
+radius, 3*eps, and each must touch exactly two vertex clusters within it;
 those two become the edge's endpoints.  Each stage takes the graph alone,
 with no threshold of its own, and reads the points from its cloud.
 Clusters are the ascending index arrays of ``neighbors.components``, and incidence is one pass of
@@ -50,11 +50,11 @@ def assign_incidence(graph: NeighborhoodGraph, vertex_clusters, edge_clusters) -
     """Match each edge cluster with the two vertex clusters it runs between.
 
     A vertex cluster is incident when any of its points lies within the
-    graph's radius (another link radius takes a graph built at it) of any
-    point of the edge cluster.  Returns one sorted pair of vertex-cluster
-    indices per edge cluster.  Anything other than exactly two incident
-    clusters raises IncidenceError naming the first such edge cluster and
-    its candidates; two edge clusters with the same pair raise ValueError.
+    graph's radius, 3 eps, of any point of the edge cluster.  Returns one
+    sorted pair of vertex-cluster indices per edge cluster.  Anything
+    other than exactly two incident clusters raises IncidenceError naming
+    the first such edge cluster and its candidates; two edge clusters with
+    the same pair raise ValueError.
 
     The members of all edge clusters read their CSR rows in one pass of
     ``query_blocks``, and each block's hits are reduced to distinct
@@ -87,7 +87,7 @@ def reconstruct_structure(cloud: PointCloud) -> Stratification:
     """Full structure recovery from the cloud and its epsilon alone: the
     graph at 3*eps, the classifier, vertex clusters at 10*eps, then edge
     clusters and incidence at the graph's radius."""
-    graph = build_graph(cloud, 3.0 * cloud.epsilon)
+    graph = build_graph(cloud)
     labels = classify_all(graph)
     vertex_clusters = cluster_vertices(graph, labels)
     edge_clusters = cluster_edges(graph, labels)

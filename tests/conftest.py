@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stratograph import AbstractGraph, EmbeddedGraph, PointCloud
+from stratograph import AbstractGraph, EmbeddedGraph, PointCloud, build_graph
 
 EPS = 0.1
 _S3 = 2.0 * math.sqrt(3.0)
@@ -79,6 +79,26 @@ def corner_cloud(eps=EPS, angle=math.pi / 2, arm_steps=20, spacing=None):
         for k in range(1, arm_steps + 1):
             pts.append((k * spacing * u[0], k * spacing * u[1]))
     return PointCloud(pts, eps)
+
+
+def epsilon_for(radius):
+    """The epsilon whose graph radius, ``3.0 * epsilon``, is ``radius`` to the
+    bit, or None where no float's triple rounds to it."""
+    eps = radius / 3.0
+    for cand in (eps, np.nextafter(eps, 0.0), np.nextafter(eps, math.inf)):
+        if 3.0 * float(cand) == radius:
+            return float(cand)
+    return None
+
+
+def graph_at(points, radius):
+    """The neighbourhood graph of ``points`` at exactly ``radius``: that of
+    their cloud at the epsilon ``epsilon_for`` gives."""
+    eps = epsilon_for(radius)
+    assert eps is not None, f"no epsilon triples to {radius!r}"
+    graph = build_graph(PointCloud(points, eps))
+    assert graph.radius == radius
+    return graph
 
 
 def traced_peak(fn):

@@ -13,15 +13,15 @@ import warnings
 import numpy as np
 import pytest
 
-from stratograph import (AbstractGraph, EmbeddedGraph, FitProblem, PointCloud,
-                         SampleOptions, Stratification, check_assumptions,
-                         classify_all, estimate_bias, fit, graph_isomorphic,
-                         hausdorff, objective, project_to_segment,
-                         reconstruct_structure, sample_graph,
-                         validate_epsilon_sample, vertex_error)
+from stratograph import (AbstractGraph, EmbeddedGraph, FitProblem, SampleOptions,
+                         Stratification, check_assumptions, classify_all,
+                         estimate_bias, fit, graph_isomorphic, hausdorff,
+                         objective, project_to_segment, reconstruct_structure,
+                         sample_graph, validate_epsilon_sample, vertex_error)
 from stratograph.neighbors import build_graph, components
 from conftest import (ACCEPTANCE_LINES, EMBED_2D, EMBED_3D, EPS,
-                      FIVE_VERTEX_EDGES, corner_cloud, line_cloud, star_cloud)
+                      FIVE_VERTEX_EDGES, corner_cloud, graph_at, line_cloud,
+                      star_cloud)
 
 
 def record(criterion, ok, detail):
@@ -156,7 +156,7 @@ def test_criterion_04_classifier_guarantees():
     def sweep(cloud, vertices, degree3=None):
         nonlocal checked
         pts = cloud.array
-        graph = build_graph(cloud, 3 * cloud.epsilon)
+        graph = build_graph(cloud)
         labels = classify_all(graph).labels
         vdist = np.sqrt(((pts[:, None, :] - np.asarray(vertices)[None, :, :])
                          ** 2).sum(axis=2)).min(axis=1)
@@ -258,7 +258,7 @@ def test_criterion_06_oracle_equivalences():
     # neighborhood graph vs all-pairs oracle at 2000 points
     pts = rng.uniform(0.0, 1.0, (2000, 3))
     radius = 0.08
-    graph = build_graph(PointCloud(pts, EPS), radius)
+    graph = graph_at(pts, radius)
     rows = np.repeat(np.arange(graph.n_points), np.diff(graph.indptr))
     mine = {(i, j) for i, j in zip(rows.tolist(), graph.indices.tolist())
             if i < j}
@@ -270,7 +270,7 @@ def test_criterion_06_oracle_equivalences():
 
     # component labeling vs traversal oracle
     cpts = rng.uniform(0.0, 1.0, (300, 2))
-    cgraph = build_graph(PointCloud(cpts, EPS), 0.08)
+    cgraph = graph_at(cpts, 0.08)
     comp = components(cgraph, range(300), 0.08)
     adj = ((cpts[:, None, :] - cpts[None, :, :]) ** 2).sum(axis=2) <= 0.08 ** 2
     seen = {}

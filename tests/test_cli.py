@@ -119,6 +119,19 @@ def test_reconstruct_huge_vertex_threshold_exits_3(tmp_path, truth_3d, capsys):
     assert not out.exists()
 
 
+def test_reconstruct_overflowing_graph_radius_exits_3(tmp_path, capsys):
+    # epsilon 1e308 is finite, but the graph's radius, 3 epsilon, is not
+    cloud = tmp_path / "cloud.json"
+    write_cloud(PointCloud([(0, 0), (1, 1)], EPS), str(cloud))
+    out = tmp_path / "strat.json"
+    code = run(["reconstruct", "--cloud", cloud, "--epsilon", 1e308, "--out", out])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: reconstruction failed: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_reconstruct_bad_geometry_never_crashes(tmp_path, truth_2d, capsys):
     # two segments meeting at 10 degrees: assumptions violated, contract is
     # exit 3 or a wrong-but-clean result

@@ -99,9 +99,12 @@ CASES = {
     "mixed-nan-epsilon": (MIXED, NAN),
     "duplicates": ([(0, 0), (1, 1), (0, 0), (1, 1), (0, 0)], 0.1),
     "negative-epsilon": ([(0, 0), (1, 1), (0, 0)], -1.0),
+    "infinite-epsilon": ([(0, 0)], INF),
     "one-3d-point": ([(2.0, 1.0, 0.5)], 0.1),
     "empty": ([], 0.1),
     "empty-zero-epsilon": ([], 0.0),
+    # exhausted or not, an empty generator yields nothing to either side
+    "empty-generator": ((p for p in ()), 0.1),
     "two-without-coordinates": ([(), ()], 0.1),
     "one-without-coordinates": ([()], 0.1),
     "none-then-one-coordinate": ([(), (1.0,)], 0.1),

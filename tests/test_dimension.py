@@ -104,25 +104,15 @@ def classify_point(cloud: PointCloud, graph: NeighborhoodGraph, q_index: int,
 
 
 def classify_cloud(cloud):
-    graph = build_graph(cloud, 3.0 * cloud.epsilon)
+    graph = build_graph(cloud)
     return classify_all(graph).labels
-
-
-@pytest.mark.parametrize("radius", [0.2, 0.3], ids=["below-3eps", "0.3-for-eps-0.1"])
-def test_classify_all_refuses_other_graph_radius(radius):
-    # only the pipeline's graph, at 3 * epsilon, is classified; a graph at
-    # 0.3 is refused too, since 3 * 0.1 is 0.30000000000000004
-    cloud = PointCloud([(0, 0), (0.25, 0)], 0.1)
-    with pytest.raises(ValueError, match=r"3 \* epsilon.*graph\.radius"):
-        classify_all(build_graph(cloud, radius))
-    assert classify_all(build_graph(cloud, 3 * 0.1)).labels.tolist() == [1, 1]
 
 
 def test_line_center_is_dimension_one():
     # points (0.1k, 0), k = -12..12: annulus at the center splits into the
     # two arcs |k| in {8, 9, 10} with centroids (+-0.9, 0), angle pi
     cloud = line_cloud(EPS, -12, 12)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     params = reference_params(EPS)
     center = 12  # index of (0, 0)
     assert np.allclose(cloud.array[center], 0.0)
@@ -131,7 +121,7 @@ def test_line_center_is_dimension_one():
 
 def test_star_origin_is_dimension_zero():
     cloud = star_cloud(EPS, arms=3, arm_steps=20)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     params = reference_params(EPS)
     assert classify_point(cloud, graph, 0, params) == 0
 
@@ -167,14 +157,14 @@ def test_local_ball_tie_included(center, stray, eps):
     beyond = np.asarray(center) + (np.asarray(stray) - center) * (1.0 + 1e-9)
     for point, want in ((stray, 1), (beyond, 0)):
         cloud = PointCloud(_star_with_stray(center, point, eps), eps)
-        graph = build_graph(cloud, 3.0 * eps)
+        graph = build_graph(cloud)
         assert classify_point(cloud, graph, 0, params) == want
         assert classify_all(graph).labels[0] == want
 
 
 def test_right_angle_corner_is_dimension_zero():
     cloud = corner_cloud(EPS, angle=math.pi / 2, arm_steps=20)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     params = reference_params(EPS)
     assert classify_point(cloud, graph, 0, params) == 0
 
@@ -281,7 +271,7 @@ def parallel_strands(gap=5.0 * EPS, half_steps=60):
 
 def assert_matches_classify_point(cloud):
     params = reference_params(cloud.epsilon)
-    graph = build_graph(cloud, 3.0 * cloud.epsilon)
+    graph = build_graph(cloud)
     batched = classify_all(graph).labels
     single = [classify_point(cloud, graph, i, params) for i in range(len(cloud))]
     assert batched.tolist() == single

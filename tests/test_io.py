@@ -132,11 +132,6 @@ def test_invalid_json_is_format_error(tmp_path):
         read_cloud(str(path))
 
 
-def test_unknown_format_rejected(tmp_path, cloud):
-    with pytest.raises(ValueError, match="format"):
-        write_cloud(cloud, str(tmp_path / "c.json"), format="parquet")
-
-
 def test_embedded_graph_roundtrip(tmp_path, truth_2d):
     path = str(tmp_path / "graph.json")
     write_embedded_graph(truth_2d, path)

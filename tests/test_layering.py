@@ -146,3 +146,18 @@ def test_a_cloud_is_valid_when_it_exists():
     assert not hasattr(stratograph, "validate_cloud")
     assert not hasattr(stratograph, "ValidationReport")
     assert not hasattr(PointCloud, "points")
+
+
+def test_no_setting_only_tests_set():
+    # the graph's radius is 3 epsilon, a cloud file's format follows its
+    # suffix, and every vertex gets a site, so none of them is an argument
+    from dataclasses import fields
+
+    from stratograph import (NeighborhoodGraph, SampleOptions, build_graph,
+                             read_cloud, write_cloud)
+
+    assert list(inspect.signature(build_graph).parameters) == ["cloud"]
+    assert list(inspect.signature(NeighborhoodGraph).parameters) == ["cloud"]
+    assert [f.name for f in fields(SampleOptions)] == ["noise_radius", "spacing", "seed"]
+    assert list(inspect.signature(read_cloud).parameters) == ["path", "epsilon"]
+    assert list(inspect.signature(write_cloud).parameters) == ["cloud", "path"]

@@ -10,7 +10,7 @@ from stratograph import (AbstractGraph, EmbeddedGraph, NeighborhoodGraph, PointC
                          cluster_edges, cluster_vertices, components, sample_graph)
 from stratograph.neighbors import (_BLOCK, _BLOCK_CANDIDATES, _CANDIDATE_SHARE,
                                   query_blocks)
-from conftest import traced_peak
+from conftest import epsilon_for, graph_at, traced_peak
 
 # A pair at exactly r = TIE_RADIUS: the einsum predicate sq <= r*r holds,
 # but scipy's cKDTree asked at exactly r misses it, so only the query's
@@ -87,34 +87,30 @@ def bfs_partition(adjacency, subset, pts, max_edge):
 
 
 def test_build_graph_spec_example():
-    cloud = PointCloud([(0, 0), (0.2, 0), (1, 0)], 0.1)
-    g = build_graph(cloud, 0.3)
+    g = graph_at([(0, 0), (0.2, 0), (1, 0)], 0.3)
     assert row(g, 0) == [0, 1]
     assert row(g, 1) == [0, 1]
     assert row(g, 2) == [2]
 
 
 def test_build_graph_empty_below_min_distance():
-    cloud = PointCloud([(0, 0), (1, 0), (0, 1)], 0.1)
-    g = build_graph(cloud, 0.5)
+    g = graph_at([(0, 0), (1, 0), (0, 1)], 0.5)
     assert g.indptr.tolist() == [0, 1, 2, 3] and g.indices.tolist() == [0, 1, 2]
     assert g.edge_count() == 0
 
 
 def test_build_graph_tie_at_radius_included():
-    cloud = PointCloud([(0, 0), (0.3, 0)], 0.1)
-    g = build_graph(cloud, 0.3)
+    g = graph_at([(0, 0), (0.3, 0)], 0.3)
     assert row(g, 0) == [0, 1]
 
 
 def test_build_graph_tie_lost_by_tree_arithmetic_included():
-    g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS)
+    g = graph_at(TIE_PAIR, TIE_RADIUS)
     assert row(g, 0) == [0, 1]
 
 
 def test_build_graph_duplicates_adjacent():
-    cloud = PointCloud([(1, 1), (1, 1)], 0.1)
-    g = build_graph(cloud, 0.05)
+    g = graph_at([(1, 1), (1, 1)], 0.05)
     assert row(g, 0) == [0, 1] and row(g, 1) == [0, 1]
     assert g.edge_count() == 1
 
@@ -122,8 +118,7 @@ def test_build_graph_duplicates_adjacent():
 def test_build_graph_matches_allpairs_oracle():
     rng = np.random.default_rng(7)
     pts = rng.uniform(0, 1, (500, 2))
-    cloud = PointCloud(pts, 0.1)
-    g = build_graph(cloud, 0.1)
+    g = graph_at(pts, 0.1)
     oracle = brute_adjacency(pts, 0.1)
     for i in range(len(pts)):
         assert row(g, i) == sorted(oracle[i] | {i})
@@ -132,16 +127,14 @@ def test_build_graph_matches_allpairs_oracle():
 def test_build_graph_oracle_3d_2000_points():
     rng = np.random.default_rng(11)
     pts = rng.uniform(0, 1, (2000, 3))
-    cloud = PointCloud(pts, 0.1)
-    g = build_graph(cloud, 0.15)
+    g = graph_at(pts, 0.15)
     oracle = brute_adjacency(pts, 0.15)
     for i in range(len(pts)):
         assert row(g, i) == sorted(oracle[i] | {i})
 
 
 def test_components_chain_examples():
-    cloud = PointCloud([(0, 0), (0.2, 0), (0.4, 0)], 0.1)
-    g = build_graph(cloud, 0.2)
+    g = graph_at([(0, 0), (0.2, 0), (0.4, 0)], 0.2)
     assert len(components(g, [0, 1, 2], 0.2)) == 1
     assert len(components(g, [0, 1, 2], 0.15)) == 3
 
@@ -151,7 +144,7 @@ def test_components_threshold_above_radius_matches_bfs_oracle():
     # the adjacency lists; subsets span several blocks of members
     rng = np.random.default_rng(19)
     pts = rng.uniform(0, 1, (400, 2))
-    g = build_graph(PointCloud(pts, 0.1), 0.03)
+    g = graph_at(pts, 0.03)
     for max_edge in (0.05, 0.09):
         oracle_adj = brute_adjacency(pts, max_edge)
         subset = list(range(0, 400, 2))
@@ -160,7 +153,7 @@ def test_components_threshold_above_radius_matches_bfs_oracle():
 
 
 def test_components_tie_above_radius_included():
-    g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS / 4)
+    g = graph_at(TIE_PAIR, TIE_RADIUS / 4)
     assert row(g, 0) == [0]
     assert len(components(g, [0, 1], TIE_RADIUS)) == 1
     below = np.nextafter(TIE_RADIUS, 0.0)
@@ -172,15 +165,14 @@ def test_components_cloud_spanning_threshold_memory_bounded():
     # blocks of 64 such balls peak near 8 MB here, blocks sized by their
     # candidates near 2 MB
     rng = np.random.default_rng(23)
-    g = build_graph(PointCloud(rng.uniform(0, 1, (1000, 3)), 0.01), 0.03)
+    g = graph_at(rng.uniform(0, 1, (1000, 3)), 0.03)
     comps, _, peak = traced_peak(lambda: components(g, range(1000), 2.0))
     assert len(comps) == 1
     assert peak < 4e6
 
 
 def test_components_subset_index_out_of_range():
-    cloud = PointCloud([(0, 0), (0.2, 0)], 0.1)
-    g = build_graph(cloud, 0.2)
+    g = graph_at([(0, 0), (0.2, 0)], 0.2)
     with pytest.raises(IndexError):
         components(g, [0, 5], 0.2)
 
@@ -188,8 +180,7 @@ def test_components_subset_index_out_of_range():
 def test_components_matches_bfs_oracle():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0, 1, (300, 2))
-    cloud = PointCloud(pts, 0.1)
-    g = build_graph(cloud, 0.08)
+    g = graph_at(pts, 0.08)
     oracle_adj = brute_adjacency(pts, 0.08)
     for max_edge in (0.08, 0.05):
         subset = list(range(0, 300, 2))
@@ -198,8 +189,7 @@ def test_components_matches_bfs_oracle():
 
 
 def test_components_labels_are_canonical_min_index():
-    cloud = PointCloud([(0, 0), (0.1, 0), (5, 0), (5.1, 0)], 0.1)
-    g = build_graph(cloud, 0.2)
+    g = graph_at([(0, 0), (0.1, 0), (5, 0), (5.1, 0)], 0.2)
     comps = components(g, [3, 1, 2, 0, 2], 0.2)
     assert labels_of(comps) == {0: 0, 1: 0, 2: 2, 3: 2}
     assert [c.tolist() for c in comps] == [[0, 1], [2, 3]]
@@ -210,8 +200,7 @@ def test_components_refinement_property():
     # components at r' <= r refine components at r
     rng = np.random.default_rng(5)
     pts = rng.uniform(0, 1, (200, 2))
-    cloud = PointCloud(pts, 0.1)
-    g = build_graph(cloud, 0.1)
+    g = graph_at(pts, 0.1)
     coarse = labels_of(components(g, range(200), 0.1))
     fine = components(g, range(200), 0.06)
     labels_of(fine)
@@ -221,17 +210,17 @@ def test_components_refinement_property():
 
 
 def test_radius_neighbors_zero_radius_duplicates():
-    g = build_graph(PointCloud([(0, 0), (0, 0), (1, 0)], 0.1), 0.5)
+    g = graph_at([(0, 0), (0, 0), (1, 0)], 0.5)
     assert balls(g, [(0, 0)], 0.0)[0] == [0, 1]
 
 
 def test_radius_neighbors_empty_when_far():
-    g = build_graph(PointCloud([(0.5, 0)], 0.1), 0.3)
+    g = graph_at([(0.5, 0)], 0.3)
     assert balls(g, [(0, 0)], 0.4)[0] == []
 
 
 def test_radius_neighbors_dimension_mismatch():
-    g = build_graph(PointCloud([(0, 0)], 0.1), 0.3)
+    g = graph_at([(0, 0)], 0.3)
     with pytest.raises(ValueError):
         g.query([(0, 0, 0)], 0.5)
 
@@ -239,7 +228,7 @@ def test_radius_neighbors_dimension_mismatch():
 def test_radius_neighbors_matches_linear_scan():
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, 1, (1000, 3))
-    g = build_graph(PointCloud(pts, 0.1), 0.03)
+    g = graph_at(pts, 0.03)
     qs = rng.uniform(0, 1, (50, 3))
     for radius in (0.07, 0.2):
         for q, got in zip(qs, balls(g, qs, radius)):
@@ -253,7 +242,7 @@ def test_query_many_agrees_with_single_queries():
     # several blocks, give each row what a query of that row alone gives
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 1, (400, 2))
-    g = build_graph(PointCloud(pts, 0.1), 0.05)
+    g = graph_at(pts, 0.05)
     qs = rng.uniform(-0.1, 1.1, (549, 2))
     batched = balls(g, qs, 0.12)
     assert len(batched) == len(qs)
@@ -275,7 +264,7 @@ def test_query_csr_matches_allpairs_oracle(dim, n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 1, (n, dim))
     for radius in (0.02, 0.07, 0.15):
-        g = build_graph(PointCloud(pts, 0.1), radius)
+        g = graph_at(pts, radius)
         oracle = brute_adjacency(pts, radius)
         want = [sorted(oracle[i] | {i}) for i in range(n)]
         assert balls(g, pts, radius) == want
@@ -284,34 +273,35 @@ def test_query_csr_matches_allpairs_oracle(dim, n, seed):
 
 
 def test_query_csr_tie_pair():
-    g = build_graph(PointCloud(TIE_PAIR, 0.1), TIE_RADIUS)
+    g = graph_at(TIE_PAIR, TIE_RADIUS)
     assert g.indptr.tolist() == [0, 2, 4] and g.indices.tolist() == [0, 1, 0, 1]
     assert balls(g, TIE_PAIR, TIE_RADIUS) == [[0, 1], [0, 1]]
     assert balls(g, TIE_PAIR, np.nextafter(TIE_RADIUS, 0.0)) == [[0], [1]]
 
 
 def test_query_empty_and_negative_radius():
-    g = build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), 0.3)
+    g = graph_at([(0, 0), (0.1, 0)], 0.3)
     assert balls(g, np.empty((0, 2)), 0.3) == []
     assert balls(g, [(0, 0), (5, 5)], -1.0) == [[], []]
 
 
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf")])
 def test_query_rejects_non_finite_radius(radius):
-    g = build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), 0.3)
+    g = graph_at([(0, 0), (0.1, 0)], 0.3)
     with pytest.raises(ValueError, match="finite"):
         g.query([(0, 0)], radius)
 
 
-@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -0.3])
-def test_build_graph_rejects_bad_radius(radius):
-    with pytest.raises(ValueError, match="finite and positive"):
-        build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), radius)
+def test_build_graph_rejects_overflowing_radius():
+    # PointCloud refuses a non-finite or non-positive epsilon; a finite one
+    # whose triple, the graph's radius, overflows is the graph's to refuse
+    with pytest.raises(ValueError, match="must be finite"):
+        build_graph(PointCloud([(0, 0), (1, 1)], 1e308))
 
 
 @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
 def test_components_rejects_non_finite_threshold(threshold):
-    g = build_graph(PointCloud([(0, 0), (0.1, 0)], 0.1), 0.3)
+    g = graph_at([(0, 0), (0.1, 0)], 0.3)
     with pytest.raises(ValueError, match="finite"):
         components(g, [0, 1], threshold)
     with pytest.raises(ValueError, match="finite"):
@@ -330,9 +320,9 @@ def test_build_graph_memory_bounded_by_query_blocks():
     # peaks above six times the CSR it returns; blocks of rows stay under
     # three times it
     rng = np.random.default_rng(29)
-    cloud = PointCloud(rng.uniform(0, 1, (4000, 3)), 0.01)
-    cloud.array
-    g, _, peak = traced_peak(lambda: build_graph(cloud, 0.18))
+    cloud = PointCloud(rng.uniform(0, 1, (4000, 3)), epsilon_for(0.18))
+    g, _, peak = traced_peak(lambda: build_graph(cloud))
+    assert g.radius == 0.18
     assert g.edge_count() > 150_000
     assert peak < 3 * self_free_bytes(g)
 
@@ -353,7 +343,7 @@ def test_graph_sized_blocks_memory_bounded_by_csr():
     positions = [(4.0 * (v // side), 4.0 * (v % side)) for v in range(side * side)]
     truth = EmbeddedGraph(AbstractGraph(side * side, edges), positions)
     cloud = sample_graph(truth, eps, SampleOptions(seed=17))
-    g = build_graph(cloud, 3.0 * eps)
+    g = build_graph(cloud)
     assert len(cloud) > 8000
     csr = self_free_bytes(g)
     labels = classify_all(g)
@@ -373,7 +363,7 @@ def test_query_blocks_cover_rows_once_in_order(radius):
     # from the tree; either way a block is the tree's query of its rows
     rng = np.random.default_rng(41)
     pts = rng.uniform(0, 1, (500, 2))
-    g = build_graph(PointCloud(pts, 0.1), 0.05)
+    g = graph_at(pts, 0.05)
     rows = rng.permutation(500)[:300]
     walked = []
     for sel, counts, indices in query_blocks(g, rows, radius):
@@ -395,7 +385,7 @@ def test_query_blocks_at_graph_radius_put_own_point_back(monkeypatch, pts, radiu
                                                           want):
     # rows at the graph's radius come from its CSR alone, which stores the
     # row's own point once, in order; walked in blocks of one row or of all
-    g = build_graph(PointCloud(pts, 0.1), radius)
+    g = graph_at(pts, radius)
     assert balls(g, np.array(pts)[::-1], radius) == want
     assert [row(g, i) for i in range(len(pts))][::-1] == want
     monkeypatch.setattr(NeighborhoodGraph, "query", None)
@@ -412,7 +402,7 @@ def test_query_blocks_hold_at_most_their_budget():
     # candidates each; the rows beyond the budget wait for the next block
     rng = np.random.default_rng(47)
     pts = np.vstack([rng.uniform(1, 11, (1000, 2)), rng.uniform(0, 0.05, (1000, 2))])
-    g = build_graph(PointCloud(pts, 0.1), 0.002)
+    g = graph_at(pts, 0.002)
     assert len(g.indices) // _CANDIDATE_SHARE <= _BLOCK_CANDIDATES
     for budget in (None, 5000):
         walked, widest = [], 0
@@ -430,7 +420,7 @@ def test_subset_components_with_and_without_index_agree():
     rng = np.random.default_rng(21)
     pts = rng.uniform(0, 1, (250, 2))
     subset = list(range(0, 250, 3))
-    g = build_graph(PointCloud(pts, 0.1), 0.05)
+    g = graph_at(pts, 0.05)
     scan = [set(np.nonzero(np.einsum("ij,ij->i", pts - p, pts - p)
                            <= 0.15 * 0.15)[0].tolist()) for p in pts]
     want = {i: min(part) for part in bfs_partition(scan, subset, pts, 0.15)
@@ -442,8 +432,8 @@ def test_order_independence_of_partition():
     rng = np.random.default_rng(17)
     pts = rng.uniform(0, 1, (150, 2))
     perm = rng.permutation(150)
-    g1 = build_graph(PointCloud(pts, 0.1), 0.1)
-    g2 = build_graph(PointCloud(pts[perm], 0.1), 0.1)
+    g1 = graph_at(pts, 0.1)
+    g2 = graph_at(pts[perm], 0.1)
     # compare partitions as sets of point-coordinate sets
     c1 = components(g1, range(150), 0.1)
     c2 = components(g2, range(150), 0.1)
@@ -463,10 +453,12 @@ def einsum_rows(pts, qs, radius):
 
 
 def assert_matches_oracle(pts, radius):
-    g = build_graph(PointCloud(pts, 0.1), radius)
-    want = einsum_rows(pts, pts, radius)
-    assert balls(g, pts, radius) == want
-    assert [row(g, i) for i in range(len(pts))] == balls(g, pts, radius)
+    # the graph's CSR rows are checked at ``radius`` where some epsilon's
+    # triple is ``radius``; elsewhere no graph has that radius, and they
+    # are checked at the neighbouring radius of epsilon ``radius / 3``
+    g = build_graph(PointCloud(pts, epsilon_for(radius) or radius / 3.0))
+    assert balls(g, pts, radius) == einsum_rows(pts, pts, radius)
+    assert [row(g, i) for i in range(len(pts))] == einsum_rows(pts, pts, g.radius)
 
 
 # grid coordinates make many exactly tied distances, free ones the rest

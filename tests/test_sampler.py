@@ -71,19 +71,16 @@ def sample_per_site(graph, epsilon, options=None):
     opt = (options or SampleOptions()).resolve(epsilon)
     pos = graph.vertex_positions
     dim = graph.ambient_dim
-    degrees = graph.graph.degrees()
     points = []
     vrng = np.random.default_rng([opt.seed, 0])
     for v in range(len(pos)):
-        offset = uniform_ball(vrng, dim, opt.noise_radius)
-        if opt.include_vertices or degrees[v] == 0:
-            points.append(pos[v] + offset)
+        points.append(pos[v] + uniform_ball(vrng, dim, opt.noise_radius))
     for e_idx, (i, j) in enumerate(graph.graph.edges):
         erng = np.random.default_rng([opt.seed, 1, e_idx])
         a, b = pos[i], pos[j]
         length = float(np.linalg.norm(a - b))
         m = max(1, math.ceil(length / opt.spacing * (1.0 - 1e-12)))
-        for k in range(1, m) if opt.include_vertices else range(m + 1):
+        for k in range(1, m):
             site = (k / m) * a + (1.0 - k / m) * b
             points.append(site + uniform_ball(erng, dim, opt.noise_radius))
     return np.array(points).reshape(len(points), dim)
@@ -98,7 +95,7 @@ def path_graph(positions):
 def _sampler_cases():
     five_2d = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_2D)
     five_3d = EmbeddedGraph(AbstractGraph(5, FIVE_VERTEX_EDGES), EMBED_3D)
-    # vertex 3 is isolated and keeps its site without include_vertices
+    # vertex 3 is isolated: it has a site and no edge
     isolated = EmbeddedGraph(AbstractGraph(4, [(0, 1), (1, 2)]),
                              [(0.0, 0.0), (4.0, 0.0), (4.0, 3.0), (-5.0, 1.0)])
     return [
@@ -107,7 +104,7 @@ def _sampler_cases():
         (lattice_graph(), SampleOptions()),
         (path_graph([(0.0,), (3.0,), (7.3,)]), SampleOptions()),
         (path_graph(np.random.default_rng(2).normal(0.0, 3.0, (4, 4))), SampleOptions()),
-        (isolated, SampleOptions(include_vertices=False)),
+        (isolated, SampleOptions()),
         (five_2d, SampleOptions(noise_radius=0.0)),
         (five_3d, SampleOptions(noise_radius=0.09, spacing=0.017)),
     ]
@@ -123,8 +120,7 @@ def assert_same_bits(cloud, want):
 def test_sample_graph_matches_per_site_reference_bitwise(case):
     truth, options = _sampler_cases()[case]
     for seed in range(20):
-        opts = SampleOptions(options.noise_radius, options.spacing, seed,
-                             options.include_vertices)
+        opts = SampleOptions(options.noise_radius, options.spacing, seed)
         assert_same_bits(sample_graph(truth, EPS, opts),
                          sample_per_site(truth, EPS, opts))
 
@@ -184,7 +180,6 @@ def test_options_defaults_resolve_to_half_epsilon():
     opts = SampleOptions().resolve(0.2)
     assert opts.noise_radius == pytest.approx(0.1)
     assert opts.spacing == pytest.approx(0.1)
-    assert opts.include_vertices
 
 
 def test_options_validation_messages():
@@ -232,19 +227,6 @@ def test_same_seed_reproduces_cloud():
     assert np.array_equal(a.array, b.array)
     c = sample_graph(truth, 0.1, SampleOptions(seed=124))
     assert not np.array_equal(a.array, c.array)
-
-
-def test_include_vertices_false_keeps_isolated_vertices():
-    g = AbstractGraph(3, [(0, 1)])
-    emb = EmbeddedGraph(g, [(0, 0), (4, 0), (0, 5)])
-    without = sample_graph(emb, 0.1, SampleOptions(seed=0,
-                                                   include_vertices=False))
-    # isolated vertex 2 must still be covered or the eps-sample fails;
-    # edge endpoints are covered by endpoint sites from the edge stream
-    near_isolated = np.linalg.norm(without.array - np.array([0.0, 5.0]),
-                                   axis=1)
-    assert near_isolated.min() <= 0.05 + 1e-12
-    assert validate_epsilon_sample(without, emb)[0]
 
 
 def test_degenerate_embedding_rejected():
@@ -608,11 +590,10 @@ def test_validator_memory_bounded_when_every_knot_is_in_reach():
     assert peak <= 2 * 2**20
 
 
-@pytest.mark.parametrize("include_vertices", [True, False])
-def test_sample_graph_counts_sites_before_drawing(monkeypatch, include_vertices):
+def test_sample_graph_counts_sites_before_drawing(monkeypatch):
     # a 4-long segment at spacing eps/2 has 80 pieces and 81 sites, its
-    # ends drawn as vertices or as sites of the edge
-    options = SampleOptions(seed=1, include_vertices=include_vertices)
+    # ends drawn as vertices
+    options = SampleOptions(seed=1)
     sites = len(sample_graph(segment_graph(4.0), EPS, options))
     assert sites == 81
     monkeypatch.setattr(sampler, "_MAX_SITES", sites)

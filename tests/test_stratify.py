@@ -9,7 +9,7 @@ from stratograph import (AbstractGraph, DimensionLabels, IncidenceError,
                          cluster_edges, cluster_vertices, assign_incidence, components,
                          reconstruct_structure, sample_graph, SampleOptions,
                          EmbeddedGraph, graph_isomorphic)
-from conftest import EPS, EMBED_2D, star_cloud
+from conftest import EPS, EMBED_2D, graph_at, star_cloud
 
 
 def test_cluster_vertices_two_blobs():
@@ -17,7 +17,7 @@ def test_cluster_vertices_two_blobs():
     blob_a = [(0.1 * k, 0.0) for k in range(5)]
     blob_b = [(5.0 + 0.1 * k, 0.0) for k in range(5)]
     cloud = PointCloud(blob_a + blob_b, EPS)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     labels = DimensionLabels([0] * 10)
     clusters = cluster_vertices(graph, labels)
     assert [sorted(c) for c in clusters] == [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
@@ -25,7 +25,7 @@ def test_cluster_vertices_two_blobs():
 
 def test_cluster_vertices_empty_when_no_dim0():
     cloud = PointCloud([(0, 0), (0.1, 0)], EPS)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     assert cluster_vertices(graph, DimensionLabels([1, 1])) == []
 
 
@@ -33,7 +33,7 @@ def test_cluster_vertices_star_single_cluster():
     # arms of 20 eps: the arm-end blobs sit within 10 eps of the center
     # blob, so all dim-0 points join one cluster
     cloud = star_cloud(EPS, arms=3, arm_steps=20)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     labels = classify_all(graph)
     clusters = cluster_vertices(graph, labels)
     assert len(clusters) == 1
@@ -44,7 +44,7 @@ def test_cluster_vertices_huge_threshold_single_cluster(truth_3d):
     # 1000 eps: every dimension-0 sample joins one cluster, in memory
     # bounded by the cloud, not by the threshold
     cloud = sample_graph(truth_3d, EPS, SampleOptions(seed=1))
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     labels = classify_all(graph)
     clusters = components(graph, labels.indices_of(0), 1000 * EPS)
     assert len(clusters) == 1
@@ -55,7 +55,7 @@ def test_cluster_edges_parallel_segments():
     seg_a = [(0.1 * k, 0.0) for k in range(11)]
     seg_b = [(0.1 * k, 1.0) for k in range(11)]
     cloud = PointCloud(seg_a + seg_b, EPS)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     labels = DimensionLabels([1] * 22)
     clusters = cluster_edges(graph, labels)
     assert [sorted(c) for c in clusters] == [list(range(11)),
@@ -64,14 +64,14 @@ def test_cluster_edges_parallel_segments():
 
 def test_cluster_edges_empty_when_no_dim1():
     cloud = PointCloud([(0, 0), (5, 0)], EPS)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     assert cluster_edges(graph, DimensionLabels([0, 0])) == []
 
 
 def test_cluster_threshold_is_parameterized():
     pts = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
     cloud = PointCloud(pts, EPS)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     labels = DimensionLabels([0, 0, 0])
     # vertex clusters at 10 eps = 1.0 merge the chain; components at 0.4
     # split it
@@ -84,7 +84,7 @@ def test_assign_incidence_single_segment():
     cloud = PointCloud(seg, EPS)
     vertex_clusters = [[0], [30]]
     edge_clusters = [list(range(1, 30))]
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     incidence = assign_incidence(graph, vertex_clusters, edge_clusters)
     assert incidence == [(0, 1)]
 
@@ -96,7 +96,7 @@ def test_assign_incidence_tight_loop_raises():
     cloud = PointCloud(ring, EPS)
     vertex_clusters = [[0]]
     edge_clusters = [list(range(1, 40))]
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     with pytest.raises(IncidenceError) as info:
         assign_incidence(graph, vertex_clusters, edge_clusters)
     assert info.value.edge_cluster == 0
@@ -110,7 +110,7 @@ def test_assign_incidence_parallel_edge_clusters_rejected():
     strand_a = [(0.1 * k, 0.1) for k in range(1, 30)]
     strand_b = [(0.1 * k, -0.1) for k in range(1, 30)]
     cloud = PointCloud([(0.0, 0.0), (3.0, 0.0)] + strand_a + strand_b, EPS)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     with pytest.raises(ValueError, match="duplicate edge"):
         assign_incidence(graph, [[0], [1]], [list(range(2, 31)), list(range(31, 60))])
 
@@ -120,11 +120,11 @@ def test_assign_incidence_respects_link_threshold():
     cloud = PointCloud(seg, EPS)
     vertex_clusters = [[0], [30]]
     edge_clusters = [list(range(1, 30))]
-    assert assign_incidence(build_graph(cloud, 3.0 * EPS), vertex_clusters,
+    assert assign_incidence(build_graph(cloud), vertex_clusters,
                             edge_clusters) == [(0, 1)]
     # a graph whose radius is below the sample gap breaks incidence
     with pytest.raises(IncidenceError):
-        assign_incidence(build_graph(cloud, 0.05), vertex_clusters, edge_clusters)
+        assign_incidence(graph_at(cloud.array, 0.05), vertex_clusters, edge_clusters)
 
 
 def incidence_per_cluster(graph, vertex_clusters, edge_clusters):
@@ -166,13 +166,13 @@ def test_assign_incidence_matches_per_cluster_reference(truth_2d, truth_3d):
                         (truth_3d, SampleOptions(seed=6)),
                         (truth_2d, SampleOptions(seed=7, spacing=EPS / 5))):
         cloud = sample_graph(truth, EPS, opts)
-        graph = build_graph(cloud, 3.0 * EPS)
+        graph = build_graph(cloud)
         labels = classify_all(graph)
         vc = cluster_vertices(graph, labels)
         ec = cluster_edges(graph, labels)
         assert sum(map(len, ec)) > 2 * 64
         for link in (None, 0.02, 0.08, 1.0, 2.0, 8.0):
-            at_link = graph if link is None else build_graph(cloud, link)
+            at_link = graph if link is None else graph_at(cloud.array, link)
             got = outcome(assign_incidence, at_link, vc, ec)
             assert got == outcome(incidence_per_cluster, at_link, vc, ec)
             seen.add(got[0] if isinstance(got, tuple) else "ok")
@@ -207,7 +207,7 @@ def test_assign_incidence_errors_match_per_cluster_reference():
     ]
     got = []
     for cloud, vc, ec in cases:
-        graph = build_graph(cloud, 3.0 * EPS)
+        graph = build_graph(cloud)
         got.append(outcome(assign_incidence, graph, vc, ec))
         assert got[-1] == outcome(incidence_per_cluster, graph, vc, ec)
     assert got[0][0] == "ValueError" and "duplicate edge" in got[0][1]
@@ -228,7 +228,7 @@ def test_stages_at_graph_radius_never_ask_the_tree(monkeypatch, truth_2d,
     # edge clusters and incidence read the graph's CSR rows; the 10-eps
     # vertex clusters still ask the tree
     cloud = sample_graph(truth_2d, EPS, SampleOptions(seed=4))
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     labels = classify_all(graph)
     vc = cluster_vertices(graph, labels)
 
@@ -247,7 +247,7 @@ def test_stages_at_graph_radius_never_ask_the_tree(monkeypatch, truth_2d,
 def test_non_finite_thresholds_rejected(value):
     seg = [(0.1 * k, 0.0) for k in range(31)]
     cloud = PointCloud(seg, EPS)
-    graph = build_graph(cloud, 3.0 * EPS)
+    graph = build_graph(cloud)
     labels = DimensionLabels([0] + [1] * 29 + [0])
     with pytest.raises(ValueError, match="finite"):
         components(graph, labels.indices_of(0), value)
