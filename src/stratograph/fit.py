@@ -6,10 +6,6 @@ theta_i in [0, 1] along edges.  Both blocks have exact solvers: each
 theta_i is a clamped projection onto its segment, and with thetas fixed
 the positions solve a linear least-squares system, separable per ambient
 coordinate.  Alternating the two exact steps descends monotonically.
-
-A vertex whose system row is all zero (no sample refers to it, not even
-through an edge term) cannot move the objective; it is pinned to its
-initial position and reported.
 """
 from __future__ import annotations
 
@@ -67,7 +63,6 @@ class FitResult:
     objective_trace: tuple
     iterations: int
     converged: bool
-    pinned: tuple
     edges: tuple
 
     @property
@@ -84,7 +79,6 @@ class FitResult:
                 "objective": [float(v) for v in self.objective_trace],
                 "iterations": self.iterations,
                 "converged": self.converged,
-                "pinned": list(self.pinned),
                 "edges": [list(e) for e in self.edges]}
 
 
@@ -149,35 +143,31 @@ def _row_sums(k: int, rows: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def _x_step(problem: FitProblem, t: np.ndarray, x_init: np.ndarray):
+def _x_step(problem: FitProblem, t: np.ndarray) -> np.ndarray:
     """Exact minimizer over positions at fixed thetas.
 
-    One symmetric k x k system serves every ambient coordinate.  Vertices
-    with an all-zero row do not occur in any term, so they are pinned to
-    their initial position; their zero rows never couple to the rest.
+    One symmetric k x k system a x = b serves every ambient coordinate,
+    with a = sum over vertex samples of e_j e_j^T plus sum over edge
+    samples of w w^T, w = theta e_j1 + (1 - theta) e_j2.  Every vertex
+    cluster is non-empty, so the first sum alone is at least I, and a is
+    positive definite.  Each cross term goes to cells (lo, hi) and
+    (hi, lo), lo < hi its ends, so both cells get the same weights in the
+    same order, also when edge clusters join two vertices in both orders:
+    a is exactly symmetric, and the solve never meets a singular system.
     """
     pts = problem.cloud.array
     k, v, e1, e2 = problem.n_vertices, problem._d0v, problem._e1, problem._e2
+    lo, hi = np.minimum(e1, e2), np.maximum(e1, e2)
     c1 = t[problem._d1]
     c2 = 1.0 - c1
     # kinds of term in a fixed order, that of the np.add.at oracle in tests
-    cells = np.concatenate([v, e1, e2, e1, e2]) * k + np.concatenate([v, e1, e2, e2, e1])
+    cells = np.concatenate([v, e1, e2, lo, hi]) * k + np.concatenate([v, e1, e2, hi, lo])
     weights = np.concatenate([np.ones(len(v)), c1 * c1, c2 * c2, c1 * c2, c1 * c2])
     a = np.bincount(cells, weights, minlength=k * k).reshape(k, k)
     b = _row_sums(k, np.concatenate([v, e1, e2]),
                   np.concatenate([pts[problem._d0], c1[:, None] * pts[problem._d1],
                                   c2[:, None] * pts[problem._d1]]))
-
-    free = np.diag(a) > 0.0
-    x = x_init.copy()
-    if free.any():
-        aff = a[np.ix_(free, free)]
-        try:
-            x[free] = np.linalg.solve(aff, b[free])
-        except np.linalg.LinAlgError:
-            x[free] = np.linalg.lstsq(aff, b[free], rcond=None)[0]
-    pinned = np.nonzero(~free)[0]
-    return x, pinned
+    return np.linalg.solve(a, b)
 
 
 def _projected_gradient_norm(problem: FitProblem, x: np.ndarray, t: np.ndarray) -> float:
@@ -207,21 +197,18 @@ def fit(problem: FitProblem) -> FitResult:
     at the final iterate.
     """
     x, t = initialize(problem)
-    x_init = x.copy()
     phi = objective(problem, x, t)
     trace = [phi]
-    pinned_ever = set()
     iterations, grad = 0, None
 
     for _ in range(_MAX_ITERS):
         iterations += 1
         t_new = _theta_step(problem, x, t)
-        x_new, pinned = _x_step(problem, t_new, x_init)
+        x_new = _x_step(problem, t_new)
         phi_new = objective(problem, x_new, t_new)
         if phi_new > phi:
             break
         x, t = x_new, t_new
-        pinned_ever.update(int(p) for p in pinned)
         trace.append(phi_new)
         decrease, phi = phi - phi_new, phi_new
         grad = None
@@ -233,7 +220,6 @@ def fit(problem: FitProblem) -> FitResult:
     if grad is None:
         grad = _projected_gradient_norm(problem, x, t)
     converged = grad <= 1e-6 * (1.0 + phi)
-    edges = tuple(problem.stratification.incidence)
     return FitResult(vertex_positions=x, thetas=t, objective_trace=tuple(trace),
                      iterations=iterations, converged=converged,
-                     pinned=tuple(sorted(pinned_ever)), edges=edges)
+                     edges=tuple(problem.stratification.incidence))

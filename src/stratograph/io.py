@@ -10,13 +10,14 @@ Formats:
   stratification JSON: {"labels": [...], "vertex_clusters": [[...]],
       "edge_clusters": [[...]], "incidence": [[j1, j2], ...]}
   fit result JSON: {"vertices": ..., "thetas": ..., "objective": ...,
-      "iterations": ..., "converged": ..., "pinned": ..., "edges": ...}
+      "iterations": ..., "converged": ..., "edges": ...}
 
 JSON writes are deterministic (sorted keys, repr-precision floats), so
 identical values produce identical bytes and round-trip exactly.  Reads
 take indices, counts and flags only as JSON integers and booleans, and
 reals (coordinates, epsilon, thetas, objective) only as JSON numbers, not
 strings or booleans; an integer too large for a float is a format error.
+Reads skip keys they do not use, such as the "pinned" of older fit files.
 A CSV field must be an ASCII decimal literal that fits a float (spaces
 around it allowed), or ``nan``, ``inf`` or ``-inf`` as ``repr`` writes
 them; those read as such, and the ``PointCloud`` built from them then
@@ -265,7 +266,7 @@ def read_fit_result(path: str) -> FitResult:
 
 def _fit_result(data: dict, path: str) -> FitResult:
     _require(data, path, "vertices", "thetas", "objective", "iterations",
-             "converged", "pinned", "edges")
+             "converged", "edges")
     return FitResult(
         vertex_positions=np.array(_parse_points(data["vertices"], path, "vertices"),
                                   dtype=float),
@@ -273,7 +274,6 @@ def _fit_result(data: dict, path: str) -> FitResult:
         objective_trace=tuple(_numbers(path, "objective", data["objective"])),
         iterations=_convert(path, "iterations", data["iterations"], _index),
         converged=_convert(path, "converged", data["converged"], _flag),
-        pinned=tuple(_numbers(path, "pinned", data["pinned"], _index)),
         edges=tuple(_index_pairs(path, "edges", data["edges"])))
 
 

@@ -96,15 +96,10 @@ def iter_isomorphisms(g1: AbstractGraph, g2: AbstractGraph):
 def graph_isomorphic(g1: AbstractGraph, g2: AbstractGraph):
     """First isomorphism found as a dict {g1 vertex: g2 vertex}, else None.
 
-    The returned mapping is re-verified edge by edge before being handed
-    back, so a bug in the search cannot produce a false positive.
+    ``iter_isomorphisms`` yields a mapping only after checking every edge.
     """
     for mapping in iter_isomorphisms(g1, g2):
-        adj2 = g2.adjacency_sets()
-        for (i, j) in g1.edges:
-            if mapping[j] not in adj2[mapping[i]]:
-                raise RuntimeError("isomorphism search returned a non-mapping")
-        return {v: mapping[v] for v in range(g1.vertex_count)}
+        return dict(enumerate(mapping))
     return None
 
 
@@ -163,9 +158,9 @@ def _trial_seed(seed: int, trial: int) -> int:
 
 
 def estimate_bias(true_graph: EmbeddedGraph, epsilon: float, trials: int,
-                  seed: int = 0, noise_radius: float | None = None,
-                  spacing: float | None = None) -> BiasReport:
-    """Sample, reconstruct, and fit `trials` times; report displacement stats.
+                  seed: int = 0) -> BiasReport:
+    """Sample at the ``SampleOptions`` defaults, reconstruct, and fit
+    `trials` times; report displacement stats.
 
     Purely observational: the report quantifies drift, it does not correct
     it.  Each trial derives its own seed from (seed, trial index), so a
@@ -181,15 +176,14 @@ def estimate_bias(true_graph: EmbeddedGraph, epsilon: float, trials: int,
     failures = []
 
     for trial in range(trials):
-        opts = SampleOptions(noise_radius=noise_radius, spacing=spacing,
-                             seed=_trial_seed(seed, trial))
+        opts = SampleOptions(seed=_trial_seed(seed, trial))
         try:
             cloud = sample_graph(true_graph, epsilon, opts)
             strat = reconstruct_structure(cloud)
             result = fit(FitProblem(cloud, strat))
             fitted = result.embedded_graph()
             _, _, mapping = vertex_error(fitted, true_graph)
-        except (ValueError, np.linalg.LinAlgError) as exc:
+        except ValueError as exc:
             failures.append(f"trial {trial}: {exc}")
             per_trial.append(None)
             continue

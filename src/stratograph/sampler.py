@@ -30,8 +30,10 @@ _MASK64 = (1 << 64) - 1
 # sample_graph counts its sites before drawing any and refuses more than
 # this: its draws hold about 300 bytes per site, so about 300 MB here.
 _MAX_SITES = 1 << 20
-# validate_epsilon_sample queries every _STRIDE-th point of each edge's
-# resolution net first and fills in only where that cannot decide.
+# validate_epsilon_sample bounds coverage on a net of resolution
+# epsilon / _NET_PER_EPSILON along every edge; it queries every _STRIDE-th
+# point of that net first and fills in only where that cannot decide.
+_NET_PER_EPSILON = 100.0
 _STRIDE = 16
 # Relative rounding margin of its bounds, in units of the largest
 # coordinate and distance involved: about 1e4 roundings, far above the
@@ -127,11 +129,6 @@ def sample_graph(graph: EmbeddedGraph, epsilon: float,
     return PointCloud(np.concatenate(blocks), epsilon)
 
 
-def _require_positive(name: str, value) -> None:
-    if not (np.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive")
-
-
 def _net_points(a, b, m, seg, k):
     """Points t*a[s] + (1-t)*b[s], t = k/m[s], of the segments s = seg:
     for m[s] = max(1, ceil(length/resolution)) and k = 1..m-1 the net of
@@ -147,21 +144,20 @@ def _runs(first, items):
 
 
 def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
-                            epsilon: float | None = None,
-                            resolution: float | None = None):
+                            epsilon: float | None = None):
     """Certify the two-sided eps-sample condition; returns (is_valid, d_H bound).
 
+    ``epsilon`` defaults to the cloud's and must be finite and positive.
     The sample-to-graph direction d1 is exact (projection onto every
     segment, a vertex being one of length 0).  The coverage direction d2
     is bounded from above by the largest distance from a resolution-net
-    point of the graph to its nearest sample (resolution = eps/100 by
-    default) plus the resolution/2 slack, so a True verdict is a
-    certificate while the returned distance may overestimate the true
-    d_H by up to resolution/2.  Both must be finite and positive.  More
-    than 2 * ``_MAX_SITES`` + 3 |E| edge pieces of length eps, or 100
-    times as many net points, is a ValueError before anything is
-    allocated: at spacing up to 2 eps, no graph ``sample_graph`` accepts
-    has more.
+    point of the graph to its nearest sample (resolution = eps /
+    ``_NET_PER_EPSILON``, eps/100) plus the resolution/2 slack, so a True
+    verdict is a certificate while the returned distance may overestimate
+    the true d_H by up to resolution/2.  More than 2 * ``_MAX_SITES`` +
+    3 |E| edge pieces of length eps, or 100 times as many net points, is a
+    ValueError before anything is allocated: at spacing up to 2 eps, no
+    graph ``sample_graph`` accepts has more.
 
     Both maxima are found coarse to fine, with the same result, to the
     last bit, as evaluating every net point and every sample.  Tree
@@ -190,10 +186,9 @@ def validate_epsilon_sample(cloud: PointCloud, graph: EmbeddedGraph,
     """
     if epsilon is None:
         epsilon = cloud.epsilon
-    _require_positive("epsilon", epsilon)
-    if resolution is None:
-        resolution = epsilon / 100.0
-    _require_positive("resolution", resolution)
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise ValueError("epsilon must be finite and positive")
+    resolution = epsilon / _NET_PER_EPSILON
     pts = cloud.array
     pos = graph.vertex_positions
     if len(pos) == 0:

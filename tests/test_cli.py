@@ -11,8 +11,9 @@ import pytest
 import stratograph
 from stratograph import (PointCloud, SampleOptions, sample_graph, write_cloud,
                          write_embedded_graph)
-from stratograph import cli
+from stratograph import cli, read_fit_result
 from stratograph.cli import main
+from stratograph.io import read_fitted
 from conftest import EPS, traced_peak
 
 
@@ -264,7 +265,7 @@ def test_emit_plot_stratification_not_covering_cloud_exits_1(tmp_path, capsys,
 GOOD_CLOUD = {"epsilon": EPS, "points": [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]}
 GOOD_FIT = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "thetas": [0.5],
             "objective": [1.0], "iterations": 1, "converged": True,
-            "pinned": [], "edges": [[0, 1]]}
+            "edges": [[0, 1]]}
 GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
               "edge_clusters": [[1]], "incidence": [[0, 1]]}
 
@@ -284,7 +285,7 @@ GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
     ("fit.json", {**GOOD_FIT, "objective": ["x"]}, "'objective'"),
     ("fit.json", {**GOOD_FIT, "iterations": "many"}, "'iterations'"),
     ("fit.json", {**GOOD_FIT, "edges": [[0]]}, "'edges'"),
-    ("fit.json", {**GOOD_FIT, "pinned": None}, "'pinned'"),
+    ("fit.json", {**GOOD_FIT, "vertices": [[0.0, 0.0], [4.0, "0"]]}, "'vertices[1]'"),
     ("fit.json", 5, "expected a JSON object"),
     ("strat.json", {**GOOD_STRAT, "labels": 5}, "'labels'"),
     ("fit.json", {**GOOD_FIT, "converged": "false"}, "'converged'"),
@@ -314,8 +315,6 @@ GOOD_STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
     # checked as a graph file's is
     pytest.param("fit.json", {k: v for k, v in GOOD_FIT.items() if k != "edges"},
                  "missing key 'edges'", id="fit.json-without-edges"),
-    pytest.param("fit.json", {k: v for k, v in GOOD_FIT.items() if k != "pinned"},
-                 "missing key 'pinned'", id="fit.json-without-pinned"),
     pytest.param("fit.json", {**GOOD_FIT, "edges": [[0, 5]]},
                  "edge (0, 5) out of range for 2 vertices", id="fit.json-edge-out-of-range"),
 ], ids=lambda v: v if isinstance(v, str) else None)
@@ -388,6 +387,30 @@ def test_fitted_reads_fit_or_graph_file(tmp_path, capsys, segment_file, command,
         assert captured.err.startswith(f"error: {fitted}: {problem}")
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
+
+
+def test_fit_file_with_the_old_pinned_key_still_reads(tmp_path, graph_file, capsys):
+    # earlier versions wrote an always-empty "pinned" list into fit.json
+    run(["pipeline", "--graph", graph_file, "--epsilon", EPS, "--seed", 3,
+         "--out-dir", tmp_path])
+    new = tmp_path / "fit.json"
+    data = json.loads(new.read_text())
+    assert "pinned" not in data
+    old = tmp_path / "old_fit.json"
+    old.write_text(json.dumps({**data, "pinned": []}, indent=2, sort_keys=True) + "\n")
+    assert read_fit_result(str(old)).as_dict() == read_fit_result(str(new)).as_dict()
+    old_model, new_model = read_fitted(str(old)), read_fitted(str(new))
+    assert np.array_equal(old_model.vertex_positions, new_model.vertex_positions)
+    assert old_model.graph.edges == new_model.graph.edges
+    reports = []
+    for fitted in (old, new):
+        report = tmp_path / f"evaluation_of_{fitted.stem}.json"
+        code = run(["evaluate", "--fitted", fitted, "--truth", graph_file,
+                    "--cloud", tmp_path / "cloud.json", "--out", report])
+        assert code == 0
+        reports.append(report.read_bytes())
+    assert capsys.readouterr().err == ""
+    assert reports[0] == reports[1] == (tmp_path / "evaluation.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "emit-plot"])

@@ -171,7 +171,7 @@ def test_stratification_label_consistency_enforced(tmp_path):
 
 
 FIT = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "thetas": [0.5], "objective": [1.0],
-       "iterations": 3, "converged": False, "pinned": [0], "edges": [[0, 1]]}
+       "iterations": 3, "converged": False, "edges": [[0, 1]]}
 STRAT = {"labels": [0, 1, 0], "vertex_clusters": [[0], [2]],
          "edge_clusters": [[1]], "incidence": [[0, 1]]}
 GRAPH = {"vertices": [[0.0, 0.0], [4.0, 0.0]], "edges": [[0, 1]]}
@@ -189,8 +189,8 @@ READERS = {"fit": (read_fit_result, FIT), "strat": (read_stratification, STRAT),
     ("fit", "iterations", 3.0),
     ("fit", "iterations", True),
     ("fit", "iterations", "3"),
-    ("fit", "pinned", [0.0]),
-    ("fit", "pinned", [False]),
+    ("fit", "vertices", 5),
+    ("fit", "vertices", "0,0"),
     ("fit", "edges", [[0, 1.0]]),
     ("fit", "edges", [["0", 1]]),
     ("strat", "vertex_clusters", [[0.9], [1.2]]),

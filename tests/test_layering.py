@@ -150,14 +150,25 @@ def test_a_cloud_is_valid_when_it_exists():
 
 def test_no_setting_only_tests_set():
     # the graph's radius is 3 epsilon, a cloud file's format follows its
-    # suffix, and every vertex gets a site, so none of them is an argument
+    # suffix, every vertex gets a site, the certificate's net is eps/100
+    # and the bias report samples at the defaults, so none of them is an
+    # argument; and every vertex cluster has a sample, so the fit's
+    # position system is positive definite and no vertex is pinned
     from dataclasses import fields
 
-    from stratograph import (NeighborhoodGraph, SampleOptions, build_graph,
-                             read_cloud, write_cloud)
+    from stratograph import (FitResult, NeighborhoodGraph, SampleOptions, build_graph,
+                             estimate_bias, read_cloud, validate_epsilon_sample,
+                             write_cloud)
 
     assert list(inspect.signature(build_graph).parameters) == ["cloud"]
     assert list(inspect.signature(NeighborhoodGraph).parameters) == ["cloud"]
     assert [f.name for f in fields(SampleOptions)] == ["noise_radius", "spacing", "seed"]
     assert list(inspect.signature(read_cloud).parameters) == ["path", "epsilon"]
     assert list(inspect.signature(write_cloud).parameters) == ["cloud", "path"]
+    assert [f.name for f in fields(FitResult)] == [
+        "vertex_positions", "thetas", "objective_trace", "iterations", "converged", "edges"]
+    assert "lstsq" not in (SOURCES / "fit.py").read_text()
+    assert list(inspect.signature(validate_epsilon_sample).parameters) == [
+        "cloud", "graph", "epsilon"]
+    assert list(inspect.signature(estimate_bias).parameters) == [
+        "true_graph", "epsilon", "trials", "seed"]

@@ -416,10 +416,10 @@ def test_report_as_dict_uses_pass_key():
 
 
 @pytest.mark.parametrize("name, value", [
-    ("resolution", -1.0), ("resolution", 0.0), ("resolution", math.inf),
-    ("resolution", math.nan), ("epsilon", 0.0), ("epsilon", -0.1),
-    ("epsilon", math.inf), ("epsilon", math.nan)])
+    ("epsilon", 0.0), ("epsilon", -0.1), ("epsilon", math.inf), ("epsilon", math.nan)])
 def test_validator_rejects_bad_epsilon_and_resolution(name, value):
+    # the resolution is epsilon / sampler._NET_PER_EPSILON, so a bad
+    # epsilon is the only way to a bad resolution
     cloud = PointCloud([(0.0, 0.0), (1.0, 0.0)], 0.1)
     with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
         validate_epsilon_sample(cloud, segment_graph(1.0), **{name: value})
@@ -461,12 +461,21 @@ def _certificate_cases():
     yield single, PointCloud([(2.05, -1.0), (1.9, -1.2)], EPS)
 
 
-def test_validator_matches_full_net_reference():
+def net_resolutions(monkeypatch, cloud, nets_per_epsilon):
+    """Set ``sampler._NET_PER_EPSILON`` to each of ``nets_per_epsilon`` in
+    turn, yielding the resolution the validator then uses on ``cloud``."""
+    for per_epsilon in nets_per_epsilon:
+        monkeypatch.setattr(sampler, "_NET_PER_EPSILON", per_epsilon)
+        yield cloud.epsilon / per_epsilon
+
+
+def test_validator_matches_full_net_reference(monkeypatch):
     verdicts = set()
     for truth, cloud in _certificate_cases():
-        for resolution in (None, EPS / 7, EPS, 3.0):
+        # resolutions eps/100, eps/7, eps and 3
+        for resolution in net_resolutions(monkeypatch, cloud, (100.0, 7.0, 1.0, EPS / 3.0)):
             want = full_net_certificate(cloud, truth, resolution=resolution)
-            got = validate_epsilon_sample(cloud, truth, resolution=resolution)
+            got = validate_epsilon_sample(cloud, truth)
             assert got == want
             assert type(got[1]) is float
             verdicts.add(want[0])
@@ -515,12 +524,12 @@ def _candidate_cases():
                              (0.07, -0.01), (0.05, 0.1)], EPS)
 
 
-def test_validator_candidate_edges_match_full_net_reference():
+def test_validator_candidate_edges_match_full_net_reference(monkeypatch):
     verdicts = set()
     for truth, cloud in _candidate_cases():
-        for resolution in (None, EPS / 7, 3.0):
+        for resolution in net_resolutions(monkeypatch, cloud, (100.0, 7.0, EPS / 3.0)):
             want = full_net_certificate(cloud, truth, resolution=resolution)
-            got = validate_epsilon_sample(cloud, truth, resolution=resolution)
+            got = validate_epsilon_sample(cloud, truth)
             assert got == want
             verdicts.add(want[0])
     assert verdicts == {True, False}
@@ -558,9 +567,10 @@ def sampled_graphs(draw):
 @given(sampled_graphs())
 def test_validator_matches_full_net_reference_at_any_scale(case):
     truth, cloud = case
-    for resolution in (None, cloud.epsilon / 7):
-        assert (validate_epsilon_sample(cloud, truth, resolution=resolution)
-                == full_net_certificate(cloud, truth, resolution=resolution))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for resolution in net_resolutions(monkeypatch, cloud, (100.0, 7.0)):
+            assert (validate_epsilon_sample(cloud, truth)
+                    == full_net_certificate(cloud, truth, resolution=resolution))
 
 
 def test_validator_memory_bounded_by_the_cloud():
@@ -614,8 +624,10 @@ def test_validator_counts_pieces_before_allocating(monkeypatch, length, resoluti
     # pieces, 4.0039 * 2**10 gives 4,100 net points; at 18 both are refused
     eps, segment = 0.125, segment_graph(length)
     cloud = sample_graph(segment, eps, SampleOptions(noise_radius=0.0, spacing=2 * eps))
+    if resolution is not None:
+        monkeypatch.setattr(sampler, "_NET_PER_EPSILON", eps / resolution)
     monkeypatch.setattr(sampler, "_MAX_SITES", 19)
-    assert validate_epsilon_sample(cloud, segment, eps, resolution)[0]
+    assert validate_epsilon_sample(cloud, segment, eps)[0]
     monkeypatch.setattr(sampler, "_MAX_SITES", 18)
     with pytest.raises(ValueError, match=pieces):
-        validate_epsilon_sample(cloud, segment, eps, resolution)
+        validate_epsilon_sample(cloud, segment, eps)
